@@ -9,6 +9,8 @@
 // prints the simulated-time IOPS for CFS and Ceph side by side.
 #pragma once
 
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -169,9 +171,9 @@ inline void PrintGroupCommitStats(const char* label, const harness::Cluster& clu
 /// Simulator-throughput reporter: constructed at the top of a bench main, it
 /// snapshots wall-clock time and the process-wide executed-event counter
 /// (sim::Scheduler::process_executed_events), and Print() emits one machine
-/// line `bench_wallclock <bench> {json}` with wall seconds, events retired
-/// and events/sec. tools/collect_bench.py folds these into
-/// BENCH_wallclock.json (schema in EXPERIMENTS.md) so simulator-throughput
+/// line `bench_wallclock <bench> {json}` with wall seconds, events retired,
+/// events/sec and the process's peak RSS. tools/collect_bench.py folds these
+/// into BENCH_wallclock.json (schema in EXPERIMENTS.md) so simulator-throughput
 /// regressions are caught like any other perf bug. Wall-clock use is fine
 /// here: bench/ is outside the determinism lint's src/ scope and the value
 /// never feeds the schedule.
@@ -186,10 +188,14 @@ class WallclockReporter {
     std::chrono::duration<double> wall = std::chrono::steady_clock::now() - start_;
     uint64_t events = sim::Scheduler::process_executed_events() - events0_;
     double sec = wall.count();
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);  // ru_maxrss is in KiB on Linux
     std::printf(
-        "bench_wallclock %s {\"wall_sec\":%.3f,\"events\":%llu,\"events_per_sec\":%.0f}\n",
+        "bench_wallclock %s {\"wall_sec\":%.3f,\"events\":%llu,\"events_per_sec\":%.0f,"
+        "\"max_rss_mb\":%.1f}\n",
         bench_, sec, static_cast<unsigned long long>(events),
-        sec > 0 ? static_cast<double>(events) / sec : 0.0);
+        sec > 0 ? static_cast<double>(events) / sec : 0.0,
+        static_cast<double>(ru.ru_maxrss) / 1024.0);
   }
 
  private:

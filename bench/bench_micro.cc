@@ -144,7 +144,8 @@ void BM_MetaPartitionApplyCreate(benchmark::State& state) {
   meta::MetaPartitionConfig cfg;
   cfg.id = 1;
   meta::MetaPartition mp(cfg, host);
-  std::string cmd = meta::MetaPartition::EncodeCreateInode(meta::FileType::kFile, "", 0);
+  Buffer cmd =
+      Buffer::FromString(meta::MetaPartition::EncodeCreateInode(meta::FileType::kFile, "", 0));
   raft::Index idx = 0;
   for (auto _ : state) {
     mp.Apply(++idx, cmd);

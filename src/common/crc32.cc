@@ -16,7 +16,6 @@
 
 #include <array>
 #include <cstring>
-#include <map>
 
 namespace cfs {
 namespace {
@@ -138,55 +137,47 @@ bool HaveSse42() {
 #endif
 
 // --- Zero-extension operator for Crc32cConcat ---------------------------
-// Advancing a CRC register over one zero bit is linear over GF(2); the
-// operator for 8*len zero bits is that matrix raised to the 8*len'th power
-// (zlib's crc32_combine technique). Matrices are 32 words, cached per
-// distinct length — payload sizes in a run are a handful of packet/file
-// sizes, and applying a cached matrix is ~32 xors.
-struct ZeroOp {
-  uint32_t m[32];
-};
+// Appending n zero bytes to a CRC register multiplies it by x^(8n) modulo the
+// polynomial (GF(2), reflected bit order: bit 31 is x^0). x^(8n) is the
+// product of fixed x^(8*2^k) factors, one per set bit of n (zlib's
+// crc32_combine: x2nmodp/multmodp). Cost is O(log n) for any length, with no
+// per-length state.
 
-uint32_t Gf2Apply(const uint32_t m[32], uint32_t v) {
-  uint32_t s = 0;
-  for (int i = 0; v != 0; v >>= 1, i++) {
-    if (v & 1) s ^= m[i];
-  }
-  return s;
-}
-
-// out = a ∘ b (apply b first, then a).
-void Gf2Compose(uint32_t out[32], const uint32_t a[32], const uint32_t b[32]) {
-  for (int i = 0; i < 32; i++) out[i] = Gf2Apply(a, b[i]);
-}
-
-ZeroOp MakeZeroOp(size_t len) {
-  // One-zero-bit step of the reflected-polynomial register.
-  uint32_t bit[32];
-  bit[0] = kPoly;
-  for (int i = 1; i < 32; i++) bit[i] = 1u << (i - 1);
-  ZeroOp acc;
-  for (int i = 0; i < 32; i++) acc.m[i] = 1u << i;  // identity
-  uint64_t e = 8 * static_cast<uint64_t>(len);
-  uint32_t sq[32], tmp[32];
-  std::memcpy(sq, bit, sizeof(sq));
-  while (e != 0) {
-    if (e & 1) {
-      Gf2Compose(tmp, sq, acc.m);
-      std::memcpy(acc.m, tmp, sizeof(tmp));
+// a*b mod p, with both operands in reflected bit order.
+uint32_t MultModP(uint32_t a, uint32_t b) {
+  uint32_t m = 1u << 31;  // x^0
+  uint32_t p = 0;
+  for (;;) {
+    if (a & m) {
+      p ^= b;
+      if ((a & (m - 1)) == 0) break;
     }
-    e >>= 1;
-    Gf2Compose(tmp, sq, sq);
-    std::memcpy(sq, tmp, sizeof(tmp));
+    m >>= 1;
+    b = (b & 1) ? (b >> 1) ^ kPoly : b >> 1;
   }
-  return acc;
+  return p;
 }
 
-const ZeroOp& ZeroOpFor(size_t len) {
-  static std::map<size_t, ZeroOp>* cache = new std::map<size_t, ZeroOp>();
-  auto it = cache->find(len);
-  if (it == cache->end()) it = cache->emplace(len, MakeZeroOp(len)).first;
-  return it->second;
+// t[k] = x^(8 * 2^k) mod p: the operator for 2^k zero bytes.
+std::array<uint32_t, 64> MakeZeroBytesTable() {
+  std::array<uint32_t, 64> t{};
+  uint32_t p = 1u << 30;  // x^1
+  for (int i = 0; i < 3; i++) p = MultModP(p, p);  // x^8
+  for (int k = 0; k < 64; k++) {
+    t[k] = p;
+    p = MultModP(p, p);
+  }
+  return t;
+}
+
+// x^(8n) mod p.
+uint32_t ZeroBytesOp(uint64_t n) {
+  static const std::array<uint32_t, 64> t = MakeZeroBytesTable();
+  uint32_t p = 1u << 31;  // x^0
+  for (int k = 0; n != 0; n >>= 1, k++) {
+    if (n & 1) p = MultModP(t[k], p);
+  }
+  return p;
 }
 
 }  // namespace
@@ -194,7 +185,7 @@ const ZeroOp& ZeroOpFor(size_t len) {
 uint32_t Crc32cConcat(uint32_t crc_a, uint32_t crc_b0, size_t len_b) {
   // Crc32c(A||B, init) = L_lenB(Crc32c(A, init)) ^ Crc32c(B, 0): the pre/post
   // inversions cancel when the operator is applied to the finalized value.
-  return Gf2Apply(ZeroOpFor(len_b).m, crc_a) ^ crc_b0;
+  return MultModP(ZeroBytesOp(len_b), crc_a) ^ crc_b0;
 }
 
 uint32_t Crc32c(const void* data, size_t n, uint32_t init) {

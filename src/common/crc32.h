@@ -19,9 +19,11 @@ inline uint32_t Crc32c(std::string_view s, uint32_t init = 0) {
 /// CRC of a concatenation from the parts' CRCs, without touching the bytes:
 /// given crc_a = Crc32c(A, init) and crc_b0 = Crc32c(B, 0), returns
 /// Crc32c(A||B, init). Appending len_b bytes shifts crc_a through a linear
-/// operator over GF(2) (cached per distinct length), so extending a running
-/// extent CRC with a payload whose own CRC is already known costs ~32 xors
-/// instead of a pass over the bytes. Bit-identical to Crc32c(B, crc_a).
+/// operator over GF(2), x^(8*len_b) mod p, built in O(log len_b) from a fixed
+/// table, so extending a running extent CRC with a payload whose own CRC is
+/// already known costs no pass over the bytes. Bit-identical to
+/// Crc32c(B, crc_a). Crc32cConcat(v, 0, t) is that shift alone: the change a
+/// CRC difference `v` makes once `t` more bytes follow it.
 uint32_t Crc32cConcat(uint32_t crc_a, uint32_t crc_b0, size_t len_b);
 
 }  // namespace cfs

@@ -109,22 +109,25 @@ std::string DataPartition::EncodePunchHole(storage::ExtentId id, uint64_t offset
   return enc.Take();
 }
 
-void DataPartition::Apply(raft::Index index, std::string_view cmd) {
-  Decoder dec(cmd);
+void DataPartition::Apply(raft::Index index, const Buffer& cmd) {
+  Decoder dec(cmd.view());
   uint8_t op = 0;
   Status st = dec.GetU8(&op);
   if (st.ok()) {
     switch (static_cast<DataOp>(op)) {
       case DataOp::kOverwrite: {
         uint64_t id, offset;
-        // View into `cmd` (the log entry outlives the apply): overwrites are
-        // the raft hot path, and copying the payload out would double its
-        // memory traffic.
+        // A slice of the entry, not a copy: overwrites are the raft hot
+        // path, and every replica applying this entry shares the slice's
+        // CRC memo, so the payload is checksummed once per op.
         std::string_view data;
         st = dec.GetVarint(&id);
         if (st.ok()) st = dec.GetVarint(&offset);
         if (st.ok()) st = dec.GetStringView(&data);
-        if (st.ok()) st = store_->OverwriteSync(id, offset, data);
+        if (st.ok()) {
+          st = store_->OverwriteSync(id, offset,
+                                     cmd.Slice(data.data() - cmd.data(), data.size()));
+        }
         break;
       }
       case DataOp::kDeleteExtent: {

@@ -96,7 +96,7 @@ class DataPartition : public raft::StateMachine {
                                      obs::TraceContext trace = {});
 
   // --- Raft state machine (overwrite/purge path) ---
-  void Apply(raft::Index index, std::string_view data) override;
+  void Apply(raft::Index index, const Buffer& cmd) override;
   /// Extent contents are NOT snapshotted through raft (they are recovered by
   /// the primary-backup alignment phase first, §2.2.5); the snapshot is a
   /// marker carrying only the allocation high-water mark.

@@ -82,7 +82,7 @@ class MetaPartition : public raft::StateMachine {
   static std::string EncodeSetEnd(InodeId end);
 
   // --- raft::StateMachine ---
-  void Apply(raft::Index index, std::string_view data) override;
+  void Apply(raft::Index index, const Buffer& data) override;
   std::string TakeSnapshot() override;
   void Restore(std::string_view snapshot) override;
 

@@ -16,10 +16,34 @@ std::string LogStore::Key(const char* what) const {
   return "raft/" + std::to_string(gid_) + "/" + what;
 }
 
-void LogStore::EncodeEntry(Encoder* enc, const LogEntry& e) {
-  enc->PutU64(e.term);
-  enc->PutU64(e.index);
-  enc->PutString(e.data.view());
+namespace {
+/// Payloads up to this size are copied into the WAL; larger ones are
+/// appended by reference. A reference costs a 40-byte rope slot, so copying
+/// small payloads is cheaper.
+constexpr size_t kCopyPayloadBytes = 64;
+}  // namespace
+
+template <typename Entries>
+size_t LogStore::PersistEntries(const Entries& entries) {
+  // WAL record: fixed term and index, varint payload length, payload.
+  // Headers and small payloads are copied in runs, one append per run.
+  Encoder run;
+  size_t bytes = 0;
+  for (const LogEntry& e : entries) {
+    run.PutU64(e.term);
+    run.PutU64(e.index);
+    run.PutVarint(e.data.size());
+    if (e.data.size() <= kCopyPayloadBytes) {
+      run.PutBytes(e.data.data(), e.data.size());
+      continue;
+    }
+    storage_->Append(key_log_, run.data());
+    storage_->Append(key_log_, e.data);
+    bytes += run.size() + e.data.size();
+    run.Clear();
+  }
+  storage_->Append(key_log_, run.data());
+  return bytes + run.size();
 }
 
 Status LogStore::DecodeEntry(Decoder* dec, LogEntry* e) {
@@ -89,14 +113,11 @@ Term LogStore::TermAt(Index index) const {
 
 sim::Task<Status> LogStore::Append(std::span<const LogEntry> entries,
                                    obs::TraceContext trace) {
-  Encoder enc;
   for (const auto& e : entries) {
     if (e.index != last_index() + 1) co_return Status::Corruption("append index gap");
-    EncodeEntry(&enc, e);
     entries_.push_back(e);
   }
-  size_t bytes = enc.size();
-  storage_->Append(key_log_, enc.data());
+  size_t bytes = PersistEntries(entries);
   persisted_bytes_ += bytes;
   append_writes_++;
   appended_entries_ += entries.size();
@@ -110,10 +131,8 @@ sim::Task<Status> LogStore::TruncateFrom(Index from) {
 }
 
 sim::Task<Status> LogStore::RewriteLog() {
-  Encoder enc;
-  for (const auto& e : entries_) EncodeEntry(&enc, e);
-  size_t bytes = enc.size();
-  storage_->Put(key_log_, enc.Take());
+  storage_->Put(key_log_, "");
+  size_t bytes = PersistEntries(entries_);
   persisted_bytes_ += bytes;
   co_return co_await disk_->Write(bytes + 64);
 }

@@ -77,7 +77,11 @@ class LogStore {
  private:
   std::string Key(const char* what) const;
   sim::Task<Status> RewriteLog();
-  static void EncodeEntry(Encoder* enc, const LogEntry& e);
+  /// Append `entries` to the log blob as WAL records and return their
+  /// encoded size. Payloads stay shared with entries_: no second copy per
+  /// replica.
+  template <typename Entries>
+  size_t PersistEntries(const Entries& entries);
   static Status DecodeEntry(Decoder* dec, LogEntry* e);
 
   sim::StableStorage* storage_;

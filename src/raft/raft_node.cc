@@ -448,7 +448,7 @@ Task<void> RaftNode::ApplyLoop(uint64_t gen) {
       if (!log_.Has(idx)) break;  // should not happen; wait for entries
       const LogEntry& e = log_.At(idx);
       if (!e.data.empty()) {
-        sm_->Apply(idx, e.data.view());
+        sm_->Apply(idx, e.data);
       }
       applied_ = idx;
       obs::SpanRef apply_span;

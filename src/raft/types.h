@@ -39,8 +39,9 @@ struct LogEntry {
 class StateMachine {
  public:
   virtual ~StateMachine() = default;
-  /// Apply a committed command.
-  virtual void Apply(Index index, std::string_view data) = 0;
+  /// Apply a committed command. `data` is the log entry's shared payload:
+  /// slices of it keep the entry's storage (and its CRC memo) alive.
+  virtual void Apply(Index index, const Buffer& data) = 0;
   /// Serialize the complete state (for snapshots / log compaction).
   virtual std::string TakeSnapshot() = 0;
   /// Replace the state from a snapshot.

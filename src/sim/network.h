@@ -32,6 +32,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/buffer.h"
 #include "common/flat_map.h"
 #include "common/status.h"
 #include "common/units.h"
@@ -215,29 +216,74 @@ class EnvelopePool {
 /// flat map so List() enumerates in name order — recovery paths iterate
 /// the listing, and their scheduling order must not depend on hash layout.
 ///
-/// Blobs are ropes (base string + appended chunks): the raft WAL appends a
-/// few-KiB record per commit batch to a blob that grows to many MiB, and
-/// keeping it contiguous meant geometric reallocation copied the whole log
-/// over and over. Appends now push a chunk; Get() — recovery only —
-/// compacts the rope back into the base string.
+/// Blobs are ropes: the raft WAL appends records per commit batch to a blob
+/// that grows to many MiB, and keeping it contiguous meant geometric
+/// reallocation copied the whole log over and over. Appended bytes go into
+/// blocks of at most 4 KiB (no per-append allocation, bounded slack). Buffers
+/// can be appended by reference instead, so the raft log's entry payloads
+/// are not copied a second time per replica. Get() — recovery only —
+/// concatenates the rope into a fresh string.
 class StableStorage {
  public:
   void Put(const std::string& name, std::string data) {
     Blob& b = blobs_[name];
     b.base = std::move(data);
-    b.chunks.clear();
+    b.blocks.clear();
+    b.refs.clear();
+    b.owned = 0;
     b.size = b.base.size();
   }
+  /// Append a copy of `data`.
   void Append(const std::string& name, std::string_view data) {
+    if (data.empty()) return;
     Blob& b = blobs_[name];
-    b.chunks.emplace_back(data);
+    if (b.blocks.empty() || b.blocks.back().size() + data.size() > kBlockBytes) {
+      b.blocks.emplace_back();
+    }
+    // Grow by doubling but never past a block, so a blob holding a few
+    // records stays small and a full block carries no slack.
+    std::string& blk = b.blocks.back();
+    size_t need = blk.size() + data.size();
+    if (need > blk.capacity()) {
+      blk.reserve(std::max(need, std::min(kBlockBytes, 2 * blk.capacity())));
+    }
+    blk.append(data);
+    b.owned += data.size();
     b.size += data.size();
+  }
+  /// Append `data` by reference: the blob shares its storage.
+  void Append(const std::string& name, Buffer data) {
+    Blob& b = blobs_[name];
+    b.size += data.size();
+    b.refs.push_back({b.owned, std::move(data)});
   }
   bool Get(const std::string& name, std::string* out) const {
     auto it = blobs_.find(name);
     if (it == blobs_.end()) return false;
-    it->second.Compact();
-    *out = it->second.base;
+    const Blob& b = it->second;
+    out->reserve(b.size);
+    out->assign(b.base);
+    // Interleave the blocks with the references, each of which follows the
+    // first `at` owned bytes.
+    size_t copied = 0, blk = 0, off = 0;
+    auto copy_owned = [&](size_t upto) {
+      while (copied < upto) {
+        const std::string& s = b.blocks[blk];
+        size_t n = std::min(s.size() - off, upto - copied);
+        out->append(s, off, n);
+        copied += n;
+        off += n;
+        if (off == s.size()) {
+          blk++;
+          off = 0;
+        }
+      }
+    };
+    for (const Blob::Ref& r : b.refs) {
+      copy_owned(r.at);
+      out->append(r.data.view());
+    }
+    copy_owned(b.owned);
     return true;
   }
   bool Has(const std::string& name) const { return blobs_.count(name) > 0; }
@@ -256,16 +302,16 @@ class StableStorage {
   }
 
  private:
+  static constexpr size_t kBlockBytes = 4096;
   struct Blob {
-    void Compact() const {
-      if (chunks.empty()) return;
-      base.reserve(size);
-      for (const std::string& c : chunks) base.append(c);
-      chunks.clear();
-    }
-    // Compaction is caching, not mutation: the logical value is unchanged.
-    mutable std::string base;
-    mutable std::vector<std::string> chunks;
+    struct Ref {
+      size_t at;  // owned bytes appended before this reference
+      Buffer data;
+    };
+    std::string base;                 // the last Put()
+    std::vector<std::string> blocks;  // appended copies, up to kBlockBytes each
+    std::vector<Ref> refs;            // appended references, in order
+    size_t owned = 0;                 // bytes across `blocks`
     size_t size = 0;
   };
   FlatMap<std::string, Blob> blobs_;

@@ -9,9 +9,30 @@ namespace {
 sim::Task<void> ChargeWrite(sim::Disk* disk, uint64_t bytes) {
   (void)co_await disk->Write(bytes);
 }
+
+/// Accounting-mode reads serve slices of one shared zero block instead of
+/// allocating and zero-filling a fresh string per read.
+Buffer ZeroBlock(uint64_t len) {
+  static const Buffer zeros = Buffer::Filled(256 * kKiB, '\0');
+  if (len <= zeros.size()) return zeros.Slice(0, len);
+  return Buffer::Filled(len, '\0');
+}
+
+/// Same-length in-place replace of e.data[offset, offset + y.size()) by `y`
+/// (tracking mode), keeping the cached CRC exact without re-walking the
+/// extent. CRC32C is affine over GF(2): two same-length messages differ in
+/// CRC by the linear CRC of their xor, which is zero outside the replaced
+/// range. With X the old bytes and t the bytes after the range,
+///   crc' = crc ^ Shift(Crc32c(X) ^ Crc32c(Y), t),  Shift(v, t) = Crc32cConcat(v, 0, t),
+/// so the cost is O(len + log t), not O(extent).
+void SpliceInPlace(Extent* e, uint64_t offset, const Buffer& y) {
+  uint32_t delta = Crc32c(e->data.data() + offset, y.size()) ^ y.Crc0();
+  e->data.replace(offset, y.size(), y.data(), y.size());
+  e->crc ^= Crc32cConcat(delta, 0, e->size - offset - y.size());
+}
 }  // namespace
 
-Status ExtentStore::OverwriteSync(ExtentId id, uint64_t offset, std::string_view data) {
+Status ExtentStore::OverwriteSync(ExtentId id, uint64_t offset, const Buffer& data) {
   Extent* e = FindMutable(id);
   if (!e) return Status::NotFound("extent " + std::to_string(id));
   if (offset + data.size() > e->size) return Status::InvalidArgument("overwrite beyond end");
@@ -19,10 +40,9 @@ Status ExtentStore::OverwriteSync(ExtentId id, uint64_t offset, std::string_view
     return Status::InvalidArgument("overwrite into punched hole");
   }
   if (opts_.track_contents) {
-    e->data.replace(offset, data.size(), data.data(), data.size());
-    e->crc = Crc32c(e->data);
+    SpliceInPlace(e, offset, data);
   } else {
-    e->crc ^= Crc32c(data);
+    e->crc ^= data.Crc0();
   }
   sim::Spawn(ChargeWrite(disk_, data.size()));
   return Status::OK();
@@ -43,6 +63,13 @@ Status ExtentStore::DeleteExtentSync(ExtentId id) {
 }
 
 Status ExtentStore::PunchHoleSync(ExtentId id, uint64_t offset, uint64_t len) {
+  CFS_RETURN_IF_ERROR(MarkPunched(id, offset, len));
+  sim::Spawn(ChargeWrite(disk_, 0));
+  EraseIfFullyPunched(id);
+  return Status::OK();
+}
+
+Status ExtentStore::MarkPunched(ExtentId id, uint64_t offset, uint64_t len) {
   Extent* e = FindMutable(id);
   if (!e) return Status::NotFound("extent " + std::to_string(id));
   if (offset + len > e->size) return Status::InvalidArgument("hole beyond extent end");
@@ -52,14 +79,16 @@ Status ExtentStore::PunchHoleSync(ExtentId id, uint64_t offset, uint64_t len) {
   e->punched_bytes += len;
   physical_bytes_ -= len;
   disk_->PunchHole(len);
-  if (opts_.track_contents) e->data.replace(offset, len, len, '\0');
-  sim::Spawn(ChargeWrite(disk_, 0));
-  if (e->FullyPunched()) {
-    logical_bytes_ -= e->size;
-    if (active_tiny_ == id) active_tiny_ = 0;
-    extents_.erase(id);
-  }
+  if (opts_.track_contents) SpliceInPlace(e, offset, ZeroBlock(len));
   return Status::OK();
+}
+
+void ExtentStore::EraseIfFullyPunched(ExtentId id) {
+  const Extent* e = Find(id);
+  if (!e || !e->FullyPunched()) return;
+  logical_bytes_ -= e->size;
+  if (active_tiny_ == id) active_tiny_ = 0;
+  extents_.erase(id);
 }
 
 ExtentId ExtentStore::CreateExtent() {
@@ -141,24 +170,6 @@ sim::Task<Status> ExtentStore::Append(ExtentId id, uint64_t offset, Buffer data)
   co_return co_await disk_->Write(data.size());
 }
 
-sim::Task<Status> ExtentStore::Overwrite(ExtentId id, uint64_t offset, Buffer data) {
-  Extent* e = FindMutable(id);
-  if (!e) co_return Status::NotFound("extent " + std::to_string(id));
-  if (offset + data.size() > e->size) {
-    co_return Status::InvalidArgument("overwrite beyond extent end");
-  }
-  if (RangeIsPunched(*e, offset, data.size())) {
-    co_return Status::InvalidArgument("overwrite into punched hole");
-  }
-  if (opts_.track_contents) {
-    e->data.replace(offset, data.size(), data.data(), data.size());
-    e->crc = Crc32c(e->data);  // full recompute: overwrites break incremental CRC
-  } else {
-    e->crc ^= data.Crc0();
-  }
-  co_return co_await disk_->Write(data.size());
-}
-
 bool ExtentStore::RangeIsPunched(const Extent& e, uint64_t offset, uint64_t len) const {
   if (e.punched_bytes == 0) return false;  // hot path: most extents have no holes
   for (const auto& [ho, hl] : e.holes) {
@@ -166,16 +177,6 @@ bool ExtentStore::RangeIsPunched(const Extent& e, uint64_t offset, uint64_t len)
   }
   return false;
 }
-
-namespace {
-/// Accounting-mode reads serve slices of one shared zero block instead of
-/// allocating and zero-filling a fresh string per read.
-Buffer ZeroBlock(uint64_t len) {
-  static const Buffer zeros = Buffer::Filled(256 * kKiB, '\0');
-  if (len <= zeros.size()) return zeros.Slice(0, len);
-  return Buffer::Filled(len, '\0');
-}
-}  // namespace
 
 sim::Task<Result<Buffer>> ExtentStore::Read(ExtentId id, uint64_t offset, uint64_t len,
                                             obs::TraceContext trace) {
@@ -187,11 +188,13 @@ sim::Task<Result<Buffer>> ExtentStore::Read(ExtentId id, uint64_t offset, uint64
   }
   CFS_CO_RETURN_IF_ERROR(co_await disk_->Read(len, trace));
   if (!opts_.track_contents) co_return ZeroBlock(len);
+  // `e` may dangle: during the disk await an insert can relocate the
+  // extent's FlatMap slot, and a delete or a final punch can remove it.
+  e = Find(id);
+  if (!e) co_return Status::NotFound("extent " + std::to_string(id));
   // Whole-extent reads verify against the cached CRC.
-  if (offset == 0 && len == e->size && e->punched_bytes == 0) {
-    if (Crc32c(e->data) != e->crc) {
-      co_return Status::Corruption("extent crc mismatch");
-    }
+  if (offset == 0 && len == e->size && Crc32c(e->data) != e->crc) {
+    co_return Status::Corruption("extent crc mismatch");
   }
   co_return Buffer::CopyOf(std::string_view(e->data).substr(offset, len));
 }
@@ -222,28 +225,11 @@ sim::Task<Result<std::pair<ExtentId, uint64_t>>> ExtentStore::WriteSmall(
 }
 
 sim::Task<Status> ExtentStore::PunchHole(ExtentId id, uint64_t offset, uint64_t len) {
-  Extent* e = FindMutable(id);
-  if (!e) co_return Status::NotFound("extent " + std::to_string(id));
-  if (offset + len > e->size) co_return Status::InvalidArgument("hole beyond extent end");
-  if (RangeIsPunched(*e, offset, len)) {
-    co_return Status::InvalidArgument("range already punched");
-  }
-  e->holes.emplace_back(offset, len);
-  std::sort(e->holes.begin(), e->holes.end());
-  e->punched_bytes += len;
-  physical_bytes_ -= len;
-  disk_->PunchHole(len);
-  if (opts_.track_contents) {
-    e->data.replace(offset, len, len, '\0');
-  }
+  CFS_CO_RETURN_IF_ERROR(MarkPunched(id, offset, len));
   // fallocate(PUNCH_HOLE) is metadata-only on the device: charge a fixed
   // small latency, not a data transfer.
   CFS_CO_RETURN_IF_ERROR(co_await disk_->Write(0));
-  if (e->FullyPunched()) {
-    logical_bytes_ -= e->size;
-    if (active_tiny_ == id) active_tiny_ = 0;
-    extents_.erase(id);
-  }
+  EraseIfFullyPunched(id);  // by id: the await may have moved the extent
   co_return Status::OK();
 }
 
@@ -265,7 +251,9 @@ sim::Task<Status> ExtentStore::VerifyExtent(ExtentId id) {
   if (!e) co_return Status::NotFound("extent " + std::to_string(id));
   CFS_CO_RETURN_IF_ERROR(co_await disk_->Read(e->PhysicalBytes()));
   if (!opts_.track_contents) co_return Status::OK();
-  if (e->punched_bytes == 0 && Crc32c(e->data) != e->crc) {
+  e = Find(id);  // the await may have moved or removed the extent
+  if (!e) co_return Status::NotFound("extent " + std::to_string(id));
+  if (Crc32c(e->data) != e->crc) {
     co_return Status::Corruption("extent " + std::to_string(id) + " crc mismatch");
   }
   co_return Status::OK();
@@ -320,7 +308,7 @@ void ExtentStore::CheckInvariants(InvariantReport* report, const std::string& la
         report->Violation("extent", where(id) + ": data size " +
                                         std::to_string(e.data.size()) +
                                         " != logical size " + std::to_string(e.size));
-      } else if (e.punched_bytes == 0 && Crc32c(e.data) != e.crc) {
+      } else if (Crc32c(e.data) != e.crc) {
         report->Violation("extent", where(id) + ": cached CRC disagrees with contents");
       }
     }
@@ -358,9 +346,7 @@ sim::Task<Status> ExtentStore::RebuildCrcCache() {
   uint64_t scanned = 0;
   for (auto& [id, e] : extents_) {
     scanned += e.PhysicalBytes();
-    if (opts_.track_contents && e.punched_bytes == 0) {
-      e.crc = Crc32c(e.data);
-    }
+    if (opts_.track_contents) e.crc = Crc32c(e.data);
   }
   co_return co_await disk_->Read(scanned + 64);
 }

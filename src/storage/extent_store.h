@@ -106,7 +106,13 @@ class ExtentStore {
   // --- Synchronous variants for raft Apply (§2.2.4 overwrite path) ---
   // Raft state machines apply commands synchronously; these validate and
   // mutate inline and charge the disk time as a detached task.
-  Status OverwriteSync(ExtentId id, uint64_t offset, std::string_view data);
+
+  /// In-place overwrite of already-written bytes (§2.7.2: random writes in
+  /// CFS are in-place; the extent layout and file offsets do not change).
+  /// `data` is a slice of the raft entry, so its CRC memo (Buffer::Crc0) is
+  /// shared by every replica applying that entry. The cached extent CRC is
+  /// kept exact in time proportional to the bytes written.
+  Status OverwriteSync(ExtentId id, uint64_t offset, const Buffer& data);
   Status DeleteExtentSync(ExtentId id);
   Status PunchHoleSync(ExtentId id, uint64_t offset, uint64_t len);
 
@@ -115,13 +121,6 @@ class ExtentStore {
   sim::Task<Status> Append(ExtentId id, uint64_t offset, Buffer data);
   sim::Task<Status> Append(ExtentId id, uint64_t offset, std::string_view data) {
     return Append(id, offset, Buffer::CopyOf(data));
-  }
-
-  /// In-place overwrite of already-written bytes (§2.7.2: random writes in
-  /// CFS are in-place; the extent layout and file offsets do not change).
-  sim::Task<Status> Overwrite(ExtentId id, uint64_t offset, Buffer data);
-  sim::Task<Status> Overwrite(ExtentId id, uint64_t offset, std::string_view data) {
-    return Overwrite(id, offset, Buffer::CopyOf(data));
   }
 
   /// Read `len` bytes at `offset`; verifies the cached CRC when contents are
@@ -178,6 +177,11 @@ class ExtentStore {
  private:
   Extent* FindMutable(ExtentId id);
   bool RangeIsPunched(const Extent& e, uint64_t offset, uint64_t len) const;
+  /// Shared by PunchHole and PunchHoleSync: validate, record the hole, zero
+  /// the bytes (CRC kept exact). The caller charges the disk, then calls
+  /// EraseIfFullyPunched.
+  Status MarkPunched(ExtentId id, uint64_t offset, uint64_t len);
+  void EraseIfFullyPunched(ExtentId id);
 
   sim::Disk* disk_;
   ExtentStoreOptions opts_;

@@ -237,16 +237,18 @@ class MetaPartitionInvariants : public ::testing::Test {
 };
 
 TEST_F(MetaPartitionInvariants, HealthyPartitionPasses) {
-  part_->Apply(1, meta::MetaPartition::EncodeCreateInode(meta::FileType::kFile, "", 0));
+  part_->Apply(1, Buffer::FromString(
+                      meta::MetaPartition::EncodeCreateInode(meta::FileType::kFile, "", 0)));
   meta::Dentry d{kRootInode, "f", 2, meta::FileType::kFile};
-  part_->Apply(2, meta::MetaPartition::EncodeCreateDentry(d));
+  part_->Apply(2, Buffer::FromString(meta::MetaPartition::EncodeCreateDentry(d)));
   InvariantReport report;
   part_->CheckInvariants(&report);
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
 TEST_F(MetaPartitionInvariants, NlinkBelowFloorFires) {
-  part_->Apply(1, meta::MetaPartition::EncodeCreateInode(meta::FileType::kFile, "", 0));
+  part_->Apply(1, Buffer::FromString(
+                      meta::MetaPartition::EncodeCreateInode(meta::FileType::kFile, "", 0)));
   meta::Inode* ino = part_->MutableInodeForTest(2);
   ASSERT_NE(ino, nullptr);
   ino->nlink = 0;  // live file with zero links and no delete mark
@@ -258,7 +260,8 @@ TEST_F(MetaPartitionInvariants, NlinkBelowFloorFires) {
 }
 
 TEST_F(MetaPartitionInvariants, DeletedInodeMissingFromFreeListFires) {
-  part_->Apply(1, meta::MetaPartition::EncodeCreateInode(meta::FileType::kFile, "", 0));
+  part_->Apply(1, Buffer::FromString(
+                      meta::MetaPartition::EncodeCreateInode(meta::FileType::kFile, "", 0)));
   meta::Inode* ino = part_->MutableInodeForTest(2);
   ASSERT_NE(ino, nullptr);
   ino->flag |= meta::kInodeDeleteMark;  // marked deleted behind the op path
@@ -328,7 +331,7 @@ TEST_F(ClusterInvariants, DanglingDentryFires) {
   ASSERT_NE(leader, nullptr);
   meta::InodeId ghost = leader->config().start + 999;
   meta::Dentry d{kRootInode, "ghost", ghost, meta::FileType::kFile};
-  leader->Apply(1u << 20, meta::MetaPartition::EncodeCreateDentry(d));
+  leader->Apply(1u << 20, Buffer::FromString(meta::MetaPartition::EncodeCreateDentry(d)));
   InvariantReport report = cluster_->CheckInvariants();
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.ToString().find("dangles"), std::string::npos) << report.ToString();

@@ -2,6 +2,7 @@
 // coroutines, futures, resources, disks, network RPC, partitions, crashes.
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "sim/disk.h"
 #include "sim/network.h"
 #include "sim/resource.h"
@@ -519,6 +520,30 @@ TEST(StableStorageTest, PutGetDeleteList) {
   st.Delete("raft/1/log");
   EXPECT_FALSE(st.Has("raft/1/log"));
   EXPECT_EQ(st.TotalBytes(), 2u);
+}
+
+TEST(StableStorageTest, RopeOfCopiesAndReferencesReadsBackInOrder) {
+  StableStorage st;
+  Rng rng(5);
+  std::string want;
+  for (int i = 0; i < 200; i++) {
+    std::string piece(rng.Range(0, 6000), static_cast<char>('a' + i % 26));
+    want += piece;
+    if (rng.Chance(0.3)) {
+      st.Append("wal", Buffer::FromString(std::move(piece)));
+    } else {
+      st.Append("wal", piece);
+    }
+  }
+  std::string got;
+  ASSERT_TRUE(st.Get("wal", &got));
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(st.TotalBytes(), want.size());
+  st.Put("wal", "base");
+  st.Append("wal", Buffer::CopyOf("+ref"));
+  st.Append("wal", "+copy");
+  ASSERT_TRUE(st.Get("wal", &got));
+  EXPECT_EQ(got, "base+ref+copy");
 }
 
 TEST(HostTest, MemoryAccounting) {

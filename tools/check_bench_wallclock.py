@@ -14,7 +14,9 @@ For every bench in the baseline the run must:
     recorded (a >20% throughput regression fails CI);
   - stay at or below `max_allocs_per_rpc`, when the baseline sets one (the
     RPC transport's zero-heap-allocation contract: bench_micro --rpc-churn
-    reports measured allocations per steady-state unary RPC).
+    reports measured allocations per steady-state unary RPC);
+  - peak at or below `max_rss_mb` resident memory, when the baseline sets
+    one (the bench reports its own getrusage peak).
 
 Usage: tools/check_bench_wallclock.py BENCH_wallclock.json
        [--baseline tools/bench_wallclock_baseline.json]
@@ -50,6 +52,8 @@ def main() -> int:
             continue
         wall, events, eps = got["wall_sec"], got.get("events"), got.get("events_per_sec")
         line = f"{name}: {wall:.3f}s, {events} events, {eps:.0f} events/sec"
+        if "max_rss_mb" in got:
+            line += f", {got['max_rss_mb']} MB peak RSS"
         if "speedup_vs_pre_pr" in got:
             line += f" ({got['speedup_vs_pre_pr']}x vs pre-PR engine)"
         print(line)
@@ -78,6 +82,15 @@ def main() -> int:
                 failures.append(
                     f"{name}: {allocs} heap allocations per RPC exceeds the cap "
                     f"{alloc_cap} (the transport's zero-allocation contract)")
+
+        rss_cap = base.get("max_rss_mb")
+        if rss_cap is not None:
+            rss = got.get("max_rss_mb")
+            if rss is None:
+                failures.append(f"{name}: baseline caps max_rss_mb but the run "
+                                "did not report it")
+            elif rss > rss_cap:
+                failures.append(f"{name}: peak RSS {rss} MB exceeds the cap {rss_cap} MB")
 
     for f_ in failures:
         print(f"FAIL {f_}", file=sys.stderr)

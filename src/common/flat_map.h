@@ -7,7 +7,7 @@
 // are small-to-medium, point-looked-up on every message or IO, and mutated
 // comparatively rarely — the classic flat-map regime. Keys stay sorted, so
 // iteration order is identical to std::map and the determinism lint's
-// no-unordered rule (tools/lint.py R2) is satisfied by construction.
+// no-unordered rule (tools/analyze R2) is satisfied by construction.
 //
 // Deliberately a subset of the std::map interface (what the converted call
 // sites use): find/contains/count, operator[], insert_or_assign, erase,

@@ -1,7 +1,7 @@
 // Channel: the one place in the codebase that issues a raw Network::Call.
 // Every leg is metered into a MetricRegistry (outcome + latency, keyed by
 // the request's kRpcName). Call sites outside src/rpc/ must go through a
-// Channel or a service stub — tools/lint.py rule R4 (raw-rpc) enforces it.
+// Channel or a service stub — tools/analyze rule R4 (raw-rpc) enforces it.
 #pragma once
 
 #include <functional>

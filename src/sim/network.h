@@ -13,11 +13,10 @@
 // inline storage, dispatch indexes a flat per-host handler table by the
 // dense MsgTypeId (sim/msg_type.h) instead of probing a type_index map, and
 // the caller's pending-call state lives in a generation-checked RpcSlot
-// slab instead of a shared_ptr promise. The reply path cancels the timeout
-// watchdog through Scheduler::CancelAudited, which keeps the cancelled
-// timer's (time, seq) in the audited event stream — same-seed schedule
-// hashes are byte-identical to the boxing transport this replaced
-// (tests/schedule_hash_test.cc, tests/network_test.cc).
+// slab instead of a shared_ptr promise. A delivered reply cancels its
+// timeout watchdog (Scheduler::Cancel), so the watchdog never executes: an
+// RPC whose handler does not suspend retires three events — request
+// delivery, reply delivery and the caller's resume (tests/network_test.cc).
 #pragma once
 
 #include <algorithm>
@@ -591,8 +590,8 @@ class Network {
   uint64_t bytes_sent() const { return bytes_sent_; }
 
   /// Timeout-watchdog accounting: replies delivered in time cancel their
-  /// watchdog (audited — the phantom keeps the schedule hash intact); only
-  /// genuinely lost/late calls let it fire.
+  /// watchdog, which then never executes; only genuinely lost/late calls
+  /// let it fire.
   uint64_t rpc_timeouts_cancelled() const { return rpc_timeouts_cancelled_; }
   uint64_t rpc_timeouts_fired() const { return rpc_timeouts_fired_; }
 
@@ -624,7 +623,7 @@ class Network {
   /// This is the transport primitive, not the application API: service code
   /// goes through the rpc layer (src/rpc/ — rpc::Channel and the typed
   /// stubs), which adds deadlines, retry policy, leader routing and per-RPC
-  /// metrics on top. lint.py R4 flags direct Call<> use outside src/rpc/;
+  /// metrics on top. tools/analyze R4 flags direct Call<> use outside src/rpc/;
   /// only the raft transport opts out site-by-site.
   ///
   /// Deliberately NOT a coroutine: gcc 12 double-destroys braced-init
@@ -759,10 +758,8 @@ class Network {
     }
     s.resp = resp;
     s.delivered = true;
-    // The watchdog leaves the wheel now (its closure is released, its node
-    // recycled) but stays in the audited stream as a phantom — the schedule
-    // hash and executed-event count are unchanged.
-    if (sched_->CancelAudited(s.timer)) rpc_timeouts_cancelled_++;
+    // Cancelling releases the watchdog's closure now; it never executes.
+    if (sched_->Cancel(s.timer)) rpc_timeouts_cancelled_++;
     s.timer = {};
     // Resume via the scheduler at the current timestamp to bound recursion —
     // the same two-event delivery (store + resume) the promise path used.

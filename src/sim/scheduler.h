@@ -13,13 +13,13 @@
 // folds in every message (sender, receiver, size, payload type, delivery
 // time). Two runs of the same scenario with the same seed must produce
 // identical trace hashes; see DESIGN.md "Determinism contract" and
-// tests/determinism_test.cc. Hashes are comparable within one process only
-// (type names feed the digest via pointers into process-local RTTI).
+// tests/determinism_test.cc. Hashes are also stable across processes and
+// builds of the same code (payload types feed the digest as the bytes of
+// their Itanium-mangled RTTI name, sim/msg_type.h), so tests pin them as
+// goldens (tests/schedule_hash_test.cc).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <vector>
 
 #include "common/logging.h"
 #include "common/rng.h"
@@ -83,13 +83,10 @@ class Scheduler {
 
   /// Cancellable variants: same scheduling semantics as At/After (a seq
   /// number is consumed either way), but the returned TimerId can revoke the
-  /// event before it fires. Cancellation is O(1)-lazy in the wheel. NOTE:
-  /// plain Cancel() of events that the copying engine used to let fire as
-  /// no-ops (e.g. RPC timeout watchdogs) CHANGES the executed-event stream
-  /// and therefore the schedule hash — adopting it on an existing path is a
-  /// deliberate, golden-hash-re-baselining change, not a free cleanup. Use
-  /// CancelAudited() when the event must disappear from the wheel but stay
-  /// in the audited stream.
+  /// event before it fires. Cancellation is O(1)-lazy in the wheel. A
+  /// cancelled event never executes, so it is absent from the schedule hash
+  /// and the executed-event count; the events that remain keep their
+  /// (time, seq) pairs, since seqs are taken at scheduling time.
   TimerId ScheduleAt(SimTime t, EventFn fn) {
     if (t < now_) t = now_;
     return wheel_.Insert(t, seq_++, std::move(fn));
@@ -100,34 +97,10 @@ class Scheduler {
   /// false if it already ran or was already cancelled.
   bool Cancel(TimerId id) { return wheel_.Cancel(id); }
 
-  /// Audited cancellation: the event is truly removed from the wheel (its
-  /// closure released now, its node recycled without ever cascading through
-  /// wheel levels), but its (time, seq) pair is kept as a *phantom* that the
-  /// dispatch loop replays into the determinism digest and executed-event
-  /// counter at exactly the position the no-op event would have occupied.
-  /// This is how the RPC reply path cancels its timeout watchdog without
-  /// shifting a single (time, seq) pair of the audited schedule — plain
-  /// Cancel() on a formerly-firing event changes the stream (see the note on
-  /// ScheduleAt); CancelAudited() does not, by construction.
-  bool CancelAudited(TimerId id) {
-    SimTime t = 0;
-    uint64_t s = 0;
-    if (!wheel_.Cancel(id, &t, &s)) return false;
-    phantoms_.push_back(Phantom{t, s});
-    std::push_heap(phantoms_.begin(), phantoms_.end(), PhantomAfter);
-    return true;
-  }
-
-  /// Run a single event (or replay one phantom). Returns false if nothing is
-  /// pending.
+  /// Run a single event. Returns false if nothing is pending.
   bool RunOne() {
     EventNode* n = wheel_.PopRunnable(TimerWheel::kNoLimit);
-    if (n == nullptr) {
-      if (phantoms_.empty()) return false;
-      ReplayPhantom();
-      return true;
-    }
-    ReplayPhantomsBefore(n);
+    if (n == nullptr) return false;
     Dispatch(n);
     return true;
   }
@@ -145,11 +118,7 @@ class Scheduler {
   /// Run all events with time <= t, then set Now() to t. Events scheduled
   /// after t remain queued (periodic timers keep the queue non-empty).
   void RunUntil(SimTime t) {
-    while (EventNode* n = wheel_.PopRunnable(t)) {
-      ReplayPhantomsBefore(n);
-      Dispatch(n);
-    }
-    while (!phantoms_.empty() && phantoms_.front().time <= t) ReplayPhantom();
+    while (EventNode* n = wheel_.PopRunnable(t)) Dispatch(n);
     if (now_ < t) now_ = t;
   }
 
@@ -164,8 +133,8 @@ class Scheduler {
     return n;
   }
 
-  bool empty() const { return wheel_.empty() && phantoms_.empty(); }
-  size_t pending() const { return wheel_.live() + phantoms_.size(); }
+  bool empty() const { return wheel_.empty(); }
+  size_t pending() const { return wheel_.live(); }
 
   /// The simulation-wide RNG: every stochastic decision draws from it.
   Rng& rng() { return rng_; }
@@ -183,16 +152,6 @@ class Scheduler {
   const obs::Tracer& tracer() const { return tracer_; }
 
  private:
-  /// An audit-preserving record of a cancelled event: nothing executes, but
-  /// the (time, seq) pair is replayed into the digest in stream order.
-  struct Phantom {
-    SimTime time;
-    uint64_t seq;
-  };
-  static bool PhantomAfter(const Phantom& a, const Phantom& b) {
-    return a.time > b.time || (a.time == b.time && a.seq > b.seq);
-  }
-
   /// Execute one popped event: advance the clock, fold (time, seq) into the
   /// determinism digest, invoke, recycle the node into the slab.
   void Dispatch(EventNode* n) {
@@ -204,28 +163,6 @@ class Scheduler {
     wheel_.Recycle(n);
   }
 
-  /// Replay every phantom ordered before `n`. A phantom created while `n`
-  /// dispatches always orders after `n` (a still-pending timer's (time, seq)
-  /// exceeds the event being executed), so checking before each dispatch is
-  /// exhaustive.
-  void ReplayPhantomsBefore(const EventNode* n) {
-    while (!phantoms_.empty() &&
-           (phantoms_.front().time < n->time ||
-            (phantoms_.front().time == n->time && phantoms_.front().seq < n->seq))) {
-      ReplayPhantom();
-    }
-  }
-
-  void ReplayPhantom() {
-    const Phantom p = phantoms_.front();
-    std::pop_heap(phantoms_.begin(), phantoms_.end(), PhantomAfter);
-    phantoms_.pop_back();
-    now_ = p.time;
-    trace_.Mix(p.time);
-    trace_.Mix(p.seq);
-    g_process_executed_events++;
-  }
-
   static inline uint64_t g_process_executed_events = 0;
 
   SimTime now_ = 0;
@@ -234,9 +171,6 @@ class Scheduler {
   Rng rng_;
   TraceHasher trace_;
   obs::Tracer tracer_;
-  /// Min-heap on (time, seq); capacity is retained across replays, so
-  /// steady-state audited cancellation performs no allocation.
-  std::vector<Phantom> phantoms_;
 };
 
 }  // namespace cfs::sim

@@ -176,18 +176,10 @@ class TimerWheel {
   /// Lazily cancel a pending event: O(1) mark now, node reclaimed when the
   /// dispatch path next touches it. Returns false for stale ids (already
   /// executed, already cancelled, or recycled).
-  bool Cancel(TimerId id) { return Cancel(id, nullptr, nullptr); }
-
-  /// Cancel variant reporting the cancelled event's (time, seq) — the
-  /// scheduler's audited cancellation replays that pair into the trace
-  /// digest as a phantom so the executed-event stream is unchanged
-  /// (Scheduler::CancelAudited).
-  bool Cancel(TimerId id, SimTime* time, uint64_t* seq) {
+  bool Cancel(TimerId id) {
     if (!id.valid() || id.index >= num_nodes_) return false;
     EventNode& n = Node(id.index);
     if (n.gen != id.gen || n.cancelled) return false;
-    if (time != nullptr) *time = n.time;
-    if (seq != nullptr) *seq = n.seq;
     n.cancelled = true;
     n.fn.Reset();  // release captured resources eagerly
     live_--;

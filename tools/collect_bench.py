@@ -25,9 +25,8 @@ Exit status is non-zero if any bench fails to run or exits non-zero.
 arguments listed in tools/bench_wallclock_baseline.json are run and each
 binary's `bench_wallclock <name> {json}` line (wall seconds, events retired,
 events/sec — printed by bench::WallclockReporter) is folded into
-BENCH_wallclock.json (schema: EXPERIMENTS.md "BENCH_wallclock.json schema")
-together with the committed pre-PR baseline, so simulator-throughput
-regressions are caught like any other perf bug
+BENCH_wallclock.json (schema: EXPERIMENTS.md "BENCH_wallclock.json schema"),
+so simulator-throughput regressions are caught like any other perf bug
 (tools/check_bench_wallclock.py enforces the budgets).
 """
 
@@ -108,11 +107,6 @@ def collect_wallclock(bench_dir: pathlib.Path, baseline_path: pathlib.Path,
         if proc.returncode != 0:
             print(f"{name}: exit {proc.returncode}\n{proc.stderr}", file=sys.stderr)
             failures += 1
-        if "pre_pr" in base:
-            entry["pre_pr"] = base["pre_pr"]
-            if entry.get("events_per_sec") and base["pre_pr"].get("events_per_sec"):
-                entry["speedup_vs_pre_pr"] = round(
-                    entry["events_per_sec"] / base["pre_pr"]["events_per_sec"], 2)
         result["benches"][name] = entry
     with open(output, "w", encoding="utf-8") as f:
         json.dump(result, f, indent=1)
@@ -134,7 +128,7 @@ def main() -> int:
     ap.add_argument("--baseline",
                     default=str(pathlib.Path(__file__).resolve().parent /
                                 "bench_wallclock_baseline.json"),
-                    help="wallclock suite definition + pre-PR baseline")
+                    help="wallclock suite definition + baseline")
     args = ap.parse_args()
 
     bench_dir = pathlib.Path(args.build_dir) / "bench"

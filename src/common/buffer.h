@@ -16,18 +16,22 @@
 //     just keep the Buffer (refcount holds the storage alive); consumers
 //     that need mutable or owned bytes call ToString() — the one place a
 //     copy happens, visible at the call site.
-//   - Slices keep the whole underlying allocation alive. Fine here: slices
-//     are packet-sized views of payloads whose lifetime ends with the op.
+//   - Slices keep the whole underlying allocation alive. In tracking mode
+//     an extent's contents are the slices it was written with, so a stored
+//     packet pins its writer's storage until the extent drops the piece
+//     (overwrite, punch, delete or a flatten; DESIGN.md "Shared immutable
+//     payloads"). Tracking mode is what tests, the examples and cfsbench run.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
-#include <vector>
 
 #include "common/crc32.h"
+#include "common/flat_map.h"
 
 namespace cfs {
 
@@ -76,36 +80,42 @@ class Buffer {
   /// the rest hit the memo (extended onto a running extent CRC with
   /// Crc32cConcat). Safe because the bytes behind a live Buffer never mutate
   /// and the memo's lifetime equals the storage's — a recycled allocation
-  /// gets a fresh Storage, so entries can never go stale.
+  /// gets a fresh Storage, so entries can never go stale. Verification paths
+  /// must not call this: they recompute over the bytes.
   uint32_t Crc0() const {
     if (size_ == 0) return 0;
     if (!owner_) return Crc32c(data_, size_);
-    size_t off = static_cast<size_t>(data_ - owner_->bytes.data());
-    for (const CrcMemoEntry& e : owner_->crc_memo) {
-      if (e.off == off && e.len == size_) return e.crc;
-    }
+    const CrcMemoKey key{static_cast<size_t>(data_ - owner_->bytes.data()), size_};
+    auto& memo = owner_->crc_memo;
+    auto it = memo.find(key);
+    if (it != memo.end()) return it->second;
     uint32_t c = Crc32c(data_, size_);
-    if (owner_->crc_memo.size() < kMaxCrcMemo) owner_->crc_memo.push_back({off, size_, c});
+    if (memo.size() < std::max(kMinCrcMemo, owner_->bytes.size() / kCrcMemoBytesPerEntry)) {
+      memo.emplace(key, c);
+    }
     return c;
   }
+
+  /// Distinct views of this buffer's storage whose CRC is memoized.
+  size_t CrcMemoSize() const { return owner_ ? owner_->crc_memo.size() : 0; }
 
   friend bool operator==(const Buffer& a, const Buffer& b) { return a.view() == b.view(); }
   friend bool operator==(const Buffer& a, std::string_view b) { return a.view() == b; }
 
  private:
-  struct CrcMemoEntry {
-    size_t off;
-    size_t len;
-    uint32_t crc;
-  };
+  using CrcMemoKey = std::pair<size_t, size_t>;  // (offset in storage, len)
   struct Storage {
     explicit Storage(std::string s) : bytes(std::move(s)) {}
     const std::string bytes;
-    /// Distinct views of one owner are a handful of packet slices; linear
-    /// scan beats any map at that size. Bounded as a pathological-case guard.
-    mutable std::vector<CrcMemoEntry> crc_memo;
+    /// One entry per distinct view that was checksummed: a single large
+    /// writer buffer (a client's pool of payloads) is sliced into one view
+    /// per packet, so the bound scales with the storage's bytes — one entry
+    /// per 4 KiB, never fewer than 64. Past it, new views are computed but
+    /// not recorded.
+    mutable FlatMap<CrcMemoKey, uint32_t> crc_memo;
   };
-  static constexpr size_t kMaxCrcMemo = 64;
+  static constexpr size_t kMinCrcMemo = 64;
+  static constexpr size_t kCrcMemoBytesPerEntry = 4096;
 
   std::shared_ptr<const Storage> owner_;
   const char* data_ = nullptr;

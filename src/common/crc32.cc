@@ -188,6 +188,11 @@ uint32_t Crc32cConcat(uint32_t crc_a, uint32_t crc_b0, size_t len_b) {
   return MultModP(ZeroBytesOp(len_b), crc_a) ^ crc_b0;
 }
 
+uint32_t Crc32cZeros(size_t n) {
+  // Zero bytes only shift the pre-inverted register: ~(x^(8n) * ~0).
+  return ~Crc32cConcat(~0u, 0, n);
+}
+
 uint32_t Crc32c(const void* data, size_t n, uint32_t init) {
   const uint8_t* p = static_cast<const uint8_t*>(data);
   uint32_t crc = ~init;

@@ -26,4 +26,8 @@ inline uint32_t Crc32c(std::string_view s, uint32_t init = 0) {
 /// CRC difference `v` makes once `t` more bytes follow it.
 uint32_t Crc32cConcat(uint32_t crc_a, uint32_t crc_b0, size_t len_b);
 
+/// Crc32c of `n` zero bytes in O(log n), without a byte pass: zero-filled
+/// extent ranges (laid-down and punched) are checksummed from their length.
+uint32_t Crc32cZeros(size_t n);
+
 }  // namespace cfs

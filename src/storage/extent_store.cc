@@ -12,8 +12,9 @@ sim::Task<void> ChargeWrite(sim::Disk* disk, uint64_t bytes) {
 
 /// Accounting-mode reads serve slices of one shared zero block instead of
 /// allocating and zero-filling a fresh string per read.
+constexpr uint64_t kZeroBlockBytes = 256 * kKiB;
 Buffer ZeroBlock(uint64_t len) {
-  static const Buffer zeros = Buffer::Filled(256 * kKiB, '\0');
+  static const Buffer zeros = Buffer::Filled(kZeroBlockBytes, '\0');
   if (len <= zeros.size()) return zeros.Slice(0, len);
   return Buffer::Filled(len, '\0');
 }
@@ -24,13 +25,86 @@ Buffer ZeroBlock(uint64_t len) {
 /// CRC by the linear CRC of their xor, which is zero outside the replaced
 /// range. With X the old bytes and t the bytes after the range,
 ///   crc' = crc ^ Shift(Crc32c(X) ^ Crc32c(Y), t),  Shift(v, t) = Crc32cConcat(v, 0, t),
-/// so the cost is O(len + log t), not O(extent).
-void SpliceInPlace(Extent* e, uint64_t offset, const Buffer& y) {
-  uint32_t delta = Crc32c(e->data.data() + offset, y.size()) ^ y.Crc0();
-  e->data.replace(offset, y.size(), y.data(), y.size());
+/// so the cost is at most O(len + log t), not O(extent), and only O(log t)
+/// when the memo holds Crc32c(X). `y_crc` is Crc32c(Y).
+void SpliceInPlace(Extent* e, uint64_t offset, const Buffer& y, uint32_t y_crc) {
+  uint32_t delta = e->data.Splice(offset, y) ^ y_crc;
   e->crc ^= Crc32cConcat(delta, 0, e->size - offset - y.size());
 }
 }  // namespace
+
+void Rope::Append(Buffer b) {
+  if (b.empty()) return;
+  const uint64_t off = size_;
+  size_ += b.size();
+  pieces_.push_back({off, std::move(b)});
+  FlattenIfOverBound();
+}
+
+size_t Rope::PieceAt(uint64_t off) const {
+  auto it = std::upper_bound(pieces_.begin(), pieces_.end(), off,
+                             [](uint64_t o, const Piece& p) { return o < p.off; });
+  return static_cast<size_t>(it - pieces_.begin()) - 1;
+}
+
+uint32_t Rope::Splice(uint64_t off, Buffer y) {
+  if (y.empty()) return 0;
+  const uint64_t end = off + y.size();
+  const size_t i = PieceAt(off), j = PieceAt(end - 1);
+  uint32_t replaced = 0;
+  for (size_t k = i; k <= j; k++) {
+    const Piece& p = pieces_[k];
+    const uint64_t lo = std::max(off, p.off), hi = std::min(end, p.off + p.bytes.size());
+    const Buffer covered = p.bytes.Slice(lo - p.off, hi - lo);
+    replaced = Crc32cConcat(replaced, covered.Crc0(), covered.size());
+  }
+  // The head of the first covered piece, `y`, and the tail of the last.
+  Piece repl[3];
+  size_t n = 0;
+  const Piece& first = pieces_[i];
+  const Piece& last = pieces_[j];
+  if (first.off < off) repl[n++] = {first.off, first.bytes.Slice(0, off - first.off)};
+  repl[n++] = {off, std::move(y)};
+  const uint64_t last_end = last.off + last.bytes.size();
+  if (end < last_end) repl[n++] = {end, last.bytes.Slice(end - last.off, last_end - end)};
+  const size_t covered_n = j - i + 1;
+  if (covered_n > n) {
+    pieces_.erase(pieces_.begin() + i + n, pieces_.begin() + i + covered_n);
+  } else if (covered_n < n) {
+    pieces_.insert(pieces_.begin() + i + covered_n, n - covered_n, Piece{});
+  }
+  std::move(repl, repl + n, pieces_.begin() + i);
+  FlattenIfOverBound();
+  return replaced;
+}
+
+Buffer Rope::Read(uint64_t off, uint64_t len) const {
+  if (len == 0) return Buffer();
+  size_t i = PieceAt(off);
+  const Piece& p = pieces_[i];
+  if (off + len <= p.off + p.bytes.size()) return p.bytes.Slice(off - p.off, len);
+  std::string out;
+  out.reserve(len);
+  for (; out.size() < len; i++) {
+    const Piece& q = pieces_[i];
+    out.append(q.bytes.view().substr(off + out.size() - q.off, len - out.size()));
+  }
+  return Buffer::FromString(std::move(out));
+}
+
+uint32_t Rope::Crc() const {
+  uint32_t crc = 0;
+  for (const Piece& p : pieces_) crc = Crc32c(p.bytes.data(), p.bytes.size(), crc);
+  return crc;
+}
+
+void Rope::FlattenIfOverBound() {
+  if (pieces_.size() <= 1 + size_ / kBytesPerPiece) return;
+  std::string flat;
+  flat.reserve(size_);
+  for (const Piece& p : pieces_) flat.append(p.bytes.view());
+  pieces_.assign(1, Piece{0, Buffer::FromString(std::move(flat))});
+}
 
 Status ExtentStore::OverwriteSync(ExtentId id, uint64_t offset, const Buffer& data) {
   Extent* e = FindMutable(id);
@@ -40,7 +114,7 @@ Status ExtentStore::OverwriteSync(ExtentId id, uint64_t offset, const Buffer& da
     return Status::InvalidArgument("overwrite into punched hole");
   }
   if (opts_.track_contents) {
-    SpliceInPlace(e, offset, data);
+    SpliceInPlace(e, offset, data, data.Crc0());
   } else {
     e->crc ^= data.Crc0();
   }
@@ -79,7 +153,7 @@ Status ExtentStore::MarkPunched(ExtentId id, uint64_t offset, uint64_t len) {
   e->punched_bytes += len;
   physical_bytes_ -= len;
   disk_->PunchHole(len);
-  if (opts_.track_contents) SpliceInPlace(e, offset, ZeroBlock(len));
+  if (opts_.track_contents) SpliceInPlace(e, offset, ZeroBlock(len), Crc32cZeros(len));
   return Status::OK();
 }
 
@@ -115,8 +189,12 @@ Status ExtentStore::ImportExtent(ExtentId id, uint64_t size, bool tiny) {
   e->size = size;
   e->crc = 0;
   if (opts_.track_contents) {
-    e->data.assign(size, '\0');
-    e->crc = Crc32c(e->data);  // cached CRC must agree with the laid-down bytes
+    // Zero contents as slices of the shared zero block; the cached CRC must
+    // agree with the laid-down bytes.
+    for (uint64_t off = 0; off < size; off += kZeroBlockBytes) {
+      e->data.Append(ZeroBlock(std::min(size - off, kZeroBlockBytes)));
+    }
+    e->crc = Crc32cZeros(size);
   }
   logical_bytes_ += size;
   physical_bytes_ += size;
@@ -129,12 +207,18 @@ sim::Task<Status> ExtentStore::PlaceAt(ExtentId id, uint64_t offset, Buffer data
   if (!e) co_return Status::NotFound("extent " + std::to_string(id));
   if (offset != e->size) co_return Status::InvalidArgument("out-of-order placement");
   if (e->size + data.size() > opts_.extent_size_limit) co_return Status::NoSpace("extent full");
-  if (opts_.track_contents) e->data.append(data.data(), data.size());
-  e->crc = Crc32cConcat(e->crc, data.Crc0(), data.size());
-  e->size += data.size();
-  logical_bytes_ += data.size();
-  physical_bytes_ += data.size();
-  co_return co_await disk_->Write(data.size(), trace);
+  const uint64_t n = AppendBytes(e, std::move(data));
+  co_return co_await disk_->Write(n, trace);
+}
+
+uint64_t ExtentStore::AppendBytes(Extent* e, Buffer data) {
+  const uint64_t n = data.size();
+  e->crc = Crc32cConcat(e->crc, data.Crc0(), n);
+  if (opts_.track_contents) e->data.Append(std::move(data));
+  e->size += n;
+  logical_bytes_ += n;
+  physical_bytes_ += n;
+  return n;
 }
 
 Extent* ExtentStore::FindMutable(ExtentId id) {
@@ -161,13 +245,8 @@ sim::Task<Status> ExtentStore::Append(ExtentId id, uint64_t offset, Buffer data)
   if (e->size + data.size() > opts_.extent_size_limit) {
     co_return Status::NoSpace("extent full");
   }
-  if (opts_.track_contents) e->data.append(data.data(), data.size());
-  // Appends extend the cached CRC incrementally (memo-assisted).
-  e->crc = Crc32cConcat(e->crc, data.Crc0(), data.size());
-  e->size += data.size();
-  logical_bytes_ += data.size();
-  physical_bytes_ += data.size();
-  co_return co_await disk_->Write(data.size());
+  const uint64_t n = AppendBytes(e, std::move(data));
+  co_return co_await disk_->Write(n);
 }
 
 bool ExtentStore::RangeIsPunched(const Extent& e, uint64_t offset, uint64_t len) const {
@@ -193,10 +272,10 @@ sim::Task<Result<Buffer>> ExtentStore::Read(ExtentId id, uint64_t offset, uint64
   e = Find(id);
   if (!e) co_return Status::NotFound("extent " + std::to_string(id));
   // Whole-extent reads verify against the cached CRC.
-  if (offset == 0 && len == e->size && Crc32c(e->data) != e->crc) {
+  if (offset == 0 && len == e->size && e->data.Crc() != e->crc) {
     co_return Status::Corruption("extent crc mismatch");
   }
-  co_return Buffer::CopyOf(std::string_view(e->data).substr(offset, len));
+  co_return e->data.Read(offset, len);
 }
 
 sim::Task<Result<std::pair<ExtentId, uint64_t>>> ExtentStore::WriteSmall(
@@ -213,14 +292,8 @@ sim::Task<Result<std::pair<ExtentId, uint64_t>>> ExtentStore::WriteSmall(
   }
   uint64_t offset = tiny->size;
   ExtentId id = tiny->id;
-  if (opts_.track_contents) {
-    tiny->data.append(data.data(), data.size());
-  }
-  tiny->crc = Crc32cConcat(tiny->crc, data.Crc0(), data.size());
-  tiny->size += data.size();
-  logical_bytes_ += data.size();
-  physical_bytes_ += data.size();
-  CFS_CO_RETURN_IF_ERROR(co_await disk_->Write(data.size(), trace));
+  const uint64_t n = AppendBytes(tiny, std::move(data));
+  CFS_CO_RETURN_IF_ERROR(co_await disk_->Write(n, trace));
   co_return std::make_pair(id, offset);
 }
 
@@ -253,7 +326,7 @@ sim::Task<Status> ExtentStore::VerifyExtent(ExtentId id) {
   if (!opts_.track_contents) co_return Status::OK();
   e = Find(id);  // the await may have moved or removed the extent
   if (!e) co_return Status::NotFound("extent " + std::to_string(id));
-  if (Crc32c(e->data) != e->crc) {
+  if (e->data.Crc() != e->crc) {
     co_return Status::Corruption("extent " + std::to_string(id) + " crc mismatch");
   }
   co_return Status::OK();
@@ -308,8 +381,13 @@ void ExtentStore::CheckInvariants(InvariantReport* report, const std::string& la
         report->Violation("extent", where(id) + ": data size " +
                                         std::to_string(e.data.size()) +
                                         " != logical size " + std::to_string(e.size));
-      } else if (Crc32c(e.data) != e.crc) {
+      } else if (e.data.Crc() != e.crc) {
         report->Violation("extent", where(id) + ": cached CRC disagrees with contents");
+      }
+      if (e.data.num_pieces() > 1 + e.size / Rope::kBytesPerPiece) {
+        report->Violation("extent", where(id) + ": " + std::to_string(e.data.num_pieces()) +
+                                        " pieces exceed the bound for " +
+                                        std::to_string(e.size) + " bytes");
       }
     }
     logical += e.size;
@@ -346,7 +424,7 @@ sim::Task<Status> ExtentStore::RebuildCrcCache() {
   uint64_t scanned = 0;
   for (auto& [id, e] : extents_) {
     scanned += e.PhysicalBytes();
-    if (opts_.track_contents) e.crc = Crc32c(e.data);
+    if (opts_.track_contents) e.crc = e.data.Crc();
   }
   co_return co_await disk_->Read(scanned + 64);
 }

@@ -10,8 +10,12 @@
 //
 // Each extent's CRC is cached in memory to speed up integrity checks
 // (§2.2.1). Byte contents are retained only when `track_contents` is on
-// (tests); benchmarks run in accounting mode where sizes, CRCs and disk
-// timing are tracked without materializing gigabytes of payload.
+// (tests, the examples and cfsbench, which check every byte read back); the
+// paper-figure benches run in accounting mode where sizes, CRCs and disk
+// timing are tracked without materializing gigabytes of payload. Retained
+// contents are the immutable payload slices the chain and raft delivered,
+// held by reference (Rope), so a packet's bytes are resident once per
+// cluster, not once per replica.
 #pragma once
 
 #include <cstdint>
@@ -39,6 +43,46 @@ struct ExtentStoreOptions {
   bool track_contents = true;
 };
 
+/// Tracking-mode contents of one extent: the immutable Buffer slices it was
+/// written with, in offset order (DESIGN.md "Shared immutable payloads").
+/// Appends and same-length splices never move a piece's start, so the piece
+/// holding a byte is found by binary search. The piece count is bounded by
+/// bytes: past 1 + size / 4 KiB pieces the rope flattens into one owned
+/// Buffer. A flatten copies `size` bytes and needs size / 4 KiB pieces added
+/// since the last one, so it costs at most 4 KiB of copying per piece added.
+class Rope {
+ public:
+  static constexpr uint64_t kBytesPerPiece = 4 * kKiB;
+
+  uint64_t size() const { return size_; }
+  size_t num_pieces() const { return pieces_.size(); }
+
+  void Append(Buffer b);
+  /// Replace [off, off + y.size()), which must lie inside the rope, by `y`.
+  /// Splits at most the two boundary pieces. Returns Crc32c of the replaced
+  /// bytes, combined from the covered pieces' memoized Buffer::Crc0.
+  uint32_t Splice(uint64_t off, Buffer y);
+  /// The bytes [off, off + len), which must lie inside the rope: a slice of
+  /// the stored payload when the range lies inside one piece, else one
+  /// gathered copy.
+  Buffer Read(uint64_t off, uint64_t len) const;
+  /// Crc32c of the contents from a full pass over every piece's bytes. It
+  /// never consults the CRC memo, so verification built on it is real.
+  uint32_t Crc() const;
+
+ private:
+  struct Piece {
+    uint64_t off = 0;
+    Buffer bytes;
+  };
+  /// Index of the piece holding byte `off` (< size()).
+  size_t PieceAt(uint64_t off) const;
+  void FlattenIfOverBound();
+
+  std::vector<Piece> pieces_;  // contiguous, non-empty, sorted by off
+  uint64_t size_ = 0;
+};
+
 /// One storage unit. `size` is the logical end-of-extent offset; punched
 /// ranges release physical space without shrinking the logical size.
 struct Extent {
@@ -48,7 +92,7 @@ struct Extent {
   bool tiny = false;  // shared small-file extent
   uint64_t punched_bytes = 0;
   std::vector<std::pair<uint64_t, uint64_t>> holes;  // (offset, len), sorted
-  std::string data;  // only when track_contents
+  Rope data;  // only when track_contents
 
   /// Physical bytes still occupied on disk.
   uint64_t PhysicalBytes() const { return size - punched_bytes; }
@@ -85,9 +129,10 @@ class ExtentStore {
   /// buffer out-of-order arrivals). A traced caller passes its span context
   /// so the disk write shows up as a "disk:write" child span.
   ///
-  /// Write paths take the shared Buffer (by value — a refcount bump): its
-  /// memoized payload CRC (Buffer::Crc0) lets the second and third chain
-  /// replicas extend their cached extent CRC via Crc32cConcat instead of
+  /// Write paths take the shared Buffer (by value — a refcount bump) and,
+  /// in tracking mode, keep it as the extent's next piece. Its memoized
+  /// payload CRC (Buffer::Crc0) lets the second and third chain replicas
+  /// extend their cached extent CRC via Crc32cConcat instead of
   /// re-checksumming the same bytes. The string_view overloads below are
   /// conveniences for tests/tools and pay a copy.
   sim::Task<Status> PlaceAt(ExtentId id, uint64_t offset, Buffer data,
@@ -123,10 +168,12 @@ class ExtentStore {
     return Append(id, offset, Buffer::CopyOf(data));
   }
 
-  /// Read `len` bytes at `offset`; verifies the cached CRC when contents are
-  /// tracked. Reading a punched range is a caller bug -> InvalidArgument.
-  /// Returns a shared Buffer: the response path ships it without copying
-  /// (accounting mode serves slices of one static zero block).
+  /// Read `len` bytes at `offset`; a whole-extent read verifies the cached
+  /// CRC with a full pass when contents are tracked. Reading a punched range
+  /// is a caller bug -> InvalidArgument. Returns a shared Buffer: a range
+  /// inside one stored piece is a slice of it, and the response path ships
+  /// it without copying (accounting mode serves slices of one static zero
+  /// block).
   sim::Task<Result<Buffer>> Read(ExtentId id, uint64_t offset, uint64_t len,
                                  obs::TraceContext trace = {});
 
@@ -181,6 +228,10 @@ class ExtentStore {
   /// the bytes (CRC kept exact). The caller charges the disk, then calls
   /// EraseIfFullyPunched.
   Status MarkPunched(ExtentId id, uint64_t offset, uint64_t len);
+  /// Shared by PlaceAt, Append and WriteSmall: extend the cached CRC from
+  /// the payload's memoized Crc0, keep the payload as the extent's next
+  /// piece (tracking mode) and grow the byte counts. Returns the length.
+  uint64_t AppendBytes(Extent* e, Buffer data);
   void EraseIfFullyPunched(ExtentId id);
 
   sim::Disk* disk_;

@@ -1,6 +1,8 @@
-// Unit tests for the common runtime: Status, Result, codec, CRC32, RNG.
+// Unit tests for the common runtime: Status, Result, codec, CRC32, Buffer's
+// CRC memo, RNG.
 #include <gtest/gtest.h>
 
+#include "common/buffer.h"
 #include "common/codec.h"
 #include "common/crc32.h"
 #include "common/rng.h"
@@ -155,6 +157,34 @@ TEST(Crc32Test, IncrementalMatchesOneShot) {
   uint32_t part = Crc32c(data.substr(0, 10));
   part = Crc32c(data.substr(10), part);
   EXPECT_EQ(part, whole);
+}
+
+// One writer buffer sliced into packets: each distinct slice is checksummed
+// once, however many replicas ask, and the memo holds one entry per 4 KiB of
+// the storage.
+TEST(BufferCrcMemo, EverySliceOfAWriterPoolIsComputedOnce) {
+  constexpr size_t kSlices = 1024, kLen = 4096;  // a 4 MiB pool
+  std::string bytes(kSlices * kLen, '\0');
+  Rng rng(11);
+  for (char& c : bytes) c = static_cast<char>(rng.Next());
+  const Buffer pool = Buffer::FromString(std::move(bytes));
+  for (int replica = 0; replica < 3; replica++) {
+    for (size_t i = 0; i < kSlices; i++) {
+      const Buffer packet = pool.Slice(i * kLen, kLen);
+      EXPECT_EQ(packet.Crc0(), Crc32c(packet.view())) << "slice " << i;
+    }
+    EXPECT_EQ(pool.CrcMemoSize(), kSlices) << "replica " << replica;
+  }
+  // At the bound, a further view is computed but not recorded.
+  const Buffer extra = pool.Slice(1, kLen);
+  EXPECT_EQ(extra.Crc0(), Crc32c(extra.view()));
+  EXPECT_EQ(pool.CrcMemoSize(), kSlices);
+}
+
+TEST(BufferCrcMemo, SmallStorageKeepsSixtyFourEntries) {
+  const Buffer b = Buffer::CopyOf(std::string(100, 'x'));
+  for (size_t i = 0; i < 100; i++) EXPECT_EQ(b.Slice(i, 1).Crc0(), Crc32c("x"));
+  EXPECT_EQ(b.CrcMemoSize(), 64u);
 }
 
 TEST(RngTest, DeterministicGivenSeed) {

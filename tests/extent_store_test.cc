@@ -13,6 +13,9 @@ namespace {
 using sim::Spawn;
 using sim::Task;
 
+/// Every byte of a tracking-mode extent, gathered from its pieces.
+std::string Contents(const Extent& e) { return e.data.Read(0, e.size).ToString(); }
+
 class ExtentFixture : public ::testing::Test {
  protected:
   ExtentFixture() : net_(&sched_) {
@@ -272,7 +275,7 @@ TEST_F(ExtentFixture, PunchedTinyExtentKeepsExactCrc) {
     EXPECT_TRUE((co_await store_->PunchHole(r2->first, r2->second, 5000)).ok());
     EXPECT_TRUE(store_->PunchHoleSync(r1->first, r1->second, 1000).ok());
     const Extent* e = store_->Find(r1->first);
-    EXPECT_EQ(e->crc, Crc32c(e->data));
+    EXPECT_EQ(e->crc, Crc32c(Contents(*e)));
     // Punched extents are verified like any other: VerifyExtent and
     // CheckInvariants both recompute the CRC over the zeroed bytes.
     EXPECT_TRUE((co_await store_->VerifyExtent(r1->first)).ok());
@@ -298,6 +301,7 @@ TEST_F(ExtentFixture, RandomOverwritesAndPunchesKeepCrcExact) {
         default: size = rng.Range(4 * kKiB, 192 * kKiB); break;
       }
       EXPECT_TRUE(store_->ImportExtent(id, size, tiny).ok());
+      std::string model(size, '\0');
       for (int step = 0; step < 24; step++) {
         const Extent* e = store_->Find(id);
         if (e == nullptr) break;  // fully punched and removed
@@ -316,20 +320,22 @@ TEST_F(ExtentFixture, RandomOverwritesAndPunchesKeepCrcExact) {
         }
         bool punch = tiny && rng.Chance(0.3) && len > 0;
         Status st;
+        std::string y(len, '\0');
         if (punch && step % 2 == 0) {
           st = co_await store_->PunchHole(id, off, len);
         } else if (punch) {
           st = store_->PunchHoleSync(id, off, len);
         } else {
-          std::string y(len, '\0');
           for (char& c : y) c = static_cast<char>(rng.Next());
-          st = store_->OverwriteSync(id, off, Buffer::FromString(std::move(y)));
+          st = store_->OverwriteSync(id, off, Buffer::CopyOf(y));
         }
         // Ranges that overlap an earlier hole are rejected untouched.
         EXPECT_TRUE(st.ok() || st.code() == StatusCode::kInvalidArgument) << st.ToString();
+        if (st.ok()) model.replace(off, len, y);
         e = store_->Find(id);
         if (e == nullptr) break;
-        EXPECT_EQ(e->crc, Crc32c(e->data)) << "round " << round << " step " << step;
+        EXPECT_EQ(Contents(*e), model) << "round " << round << " step " << step;
+        EXPECT_EQ(e->crc, Crc32c(model)) << "round " << round << " step " << step;
       }
     }
     InvariantReport report;
@@ -338,15 +344,80 @@ TEST_F(ExtentFixture, RandomOverwritesAndPunchesKeepCrcExact) {
   });
 }
 
+// Three chain replicas place the same packets: each keeps the writer's bytes
+// by reference, and each packet is checksummed once for all three.
+TEST_F(ExtentFixture, ReplicasKeepTheWritersBytes) {
+  ExtentStore r2(host_->disk(0)), r3(host_->disk(0));
+  std::string bytes(12 * kKiB, '\0');
+  for (size_t i = 0; i < bytes.size(); i++) bytes[i] = static_cast<char>('a' + i % 26);
+  const Buffer payload = Buffer::FromString(std::move(bytes));
+  // Packets of at least 4 KiB each: the piece bound keeps them apart.
+  const Buffer a = payload.Slice(0, 8 * kKiB), b = payload.Slice(8 * kKiB, 4 * kKiB);
+  Run([&]() -> Task<void> {
+    for (ExtentStore* s : {store_.get(), &r2, &r3}) {
+      EXPECT_TRUE(s->CreateExtentWithId(5, false).ok());
+      EXPECT_TRUE((co_await s->PlaceAt(5, 0, a)).ok());
+      EXPECT_TRUE((co_await s->PlaceAt(5, a.size(), b)).ok());
+      auto inside = co_await s->Read(5, 2, 8);
+      EXPECT_TRUE(inside.ok());
+      if (inside.ok()) {
+        EXPECT_EQ(inside->data(), payload.data() + 2);  // no copy
+      }
+      auto across = co_await s->Read(5, a.size() - 3, 6);
+      EXPECT_TRUE(across.ok());
+      if (across.ok()) {
+        EXPECT_EQ(*across, payload.view().substr(a.size() - 3, 6));
+      }
+      EXPECT_TRUE((co_await s->VerifyExtent(5)).ok());
+    }
+  });
+  EXPECT_EQ(payload.CrcMemoSize(), 2u);
+  EXPECT_EQ(store_->Find(5)->crc, Crc32c(payload.view()));
+}
+
+// Writes of a byte each, appended or overwritten anywhere, never let the
+// piece count outgrow the extent's bytes; contents and CRC stay exact
+// through every flatten.
+TEST_F(ExtentFixture, PieceCountStaysBoundedByBytes) {
+  Rng rng(4096);
+  Run([&]() -> Task<void> {
+    const ExtentId id = 9;
+    EXPECT_TRUE(store_->ImportExtent(id, 40 * kKiB, false).ok());
+    std::string model(40 * kKiB, '\0');
+    for (int step = 0; step < 4000; step++) {
+      const char c = static_cast<char>(rng.Next());
+      if (rng.Chance(0.5)) {
+        EXPECT_TRUE((co_await store_->Append(id, model.size(), std::string_view(&c, 1))).ok());
+        model.push_back(c);
+      } else {
+        const uint64_t off = rng.Uniform(model.size());
+        EXPECT_TRUE(store_->OverwriteSync(id, off, Buffer::CopyOf({&c, 1})).ok());
+        model[off] = c;
+      }
+      const Extent* e = store_->Find(id);
+      EXPECT_LE(e->data.num_pieces(), 1 + e->size / Rope::kBytesPerPiece) << "step " << step;
+    }
+    const Extent* e = store_->Find(id);
+    EXPECT_EQ(Contents(*e), model);
+    EXPECT_EQ(e->crc, Crc32c(model));
+    EXPECT_TRUE((co_await store_->VerifyExtent(id)).ok());
+    InvariantReport report;
+    store_->CheckInvariants(&report);
+    EXPECT_TRUE(report.ok()) << report.ToString();
+  });
+}
+
 // Shift(v, t) = Crc32cConcat(v, 0, t) is the operator SpliceInPlace applies
 // to a CRC difference followed by t bytes: it must equal advancing the CRC
-// register over t zero bytes.
+// register over t zero bytes. Crc32cZeros(t), which punches and laid-down
+// extents use, must equal the brute-force CRC of t zero bytes.
 TEST(IncrementalCrc, ShiftMatchesZeroAppend) {
   Rng rng(42);
   const size_t lens[] = {0, 1, 2, 7, 8, 9, 255, 1023, 1024, 1025, 3071, 3072, 4096, 65537,
                          256 * kKiB + 3};
   for (size_t t : lens) {
     const std::string zeros(t, '\0');
+    EXPECT_EQ(Crc32cZeros(t), Crc32c(zeros)) << "t=" << t;
     for (int k = 0; k < 4; k++) {
       uint32_t v = static_cast<uint32_t>(rng.Next());
       // Crc32c(B, init) = Concat(init, Crc32c(B, 0), |B|), so with B = t

@@ -5,13 +5,15 @@ committed baseline (tools/bench_wallclock_baseline.json).
 For every bench in the baseline the run must:
 
   - be present in BENCH_wallclock.json with a bench_wallclock result;
-  - finish within its absolute wall-clock budget (`budget_sec`);
+  - finish within its wall-clock budget (`budget_sec`). A bench that pins
+    `events` is gated on speed this way: its budget is the wall time that
+    count of events may take (events / budget_sec is the speed floor), so a
+    run passes or fails on wall time alone, not on a ratio whose numerator
+    moves whenever the event count is re-pinned;
   - retire exactly the baseline's `events` count, when one is pinned — the
     event count is a schedule-preservation invariant (same seed, same
     workload => same executed-event stream), so a drift means the simulated
     behavior changed, not just its speed;
-  - reach at least 80% of the baseline `events_per_sec`, when one is
-    recorded (a >20% throughput regression fails CI);
   - stay at or below `max_allocs_per_rpc`, when the baseline sets one (the
     RPC transport's zero-heap-allocation contract: bench_micro --rpc-churn
     reports measured allocations per steady-state unary RPC);
@@ -27,8 +29,6 @@ import argparse
 import json
 import pathlib
 import sys
-
-REGRESSION_TOLERANCE = 0.8  # fail below 80% of baseline events/sec
 
 
 def main() -> int:
@@ -59,17 +59,16 @@ def main() -> int:
             failures.append(f"{name}: exited {got['returncode']}")
         budget = base.get("budget_sec")
         if budget is not None and wall > budget:
-            failures.append(f"{name}: wall {wall:.3f}s exceeds budget {budget}s")
+            msg = f"{name}: wall {wall:.3f}s exceeds budget {budget}s"
+            if "events" in base:
+                msg += (f" for {base['events']} events "
+                        f"(floor {base['events'] / budget:.0f} events/sec)")
+            failures.append(msg)
         if "events" in base and events != base["events"]:
             failures.append(
                 f"{name}: executed {events} events, baseline pins {base['events']} "
                 "(schedule drift, not a perf regression — investigate before "
                 "re-baselining)")
-        floor = base.get("events_per_sec")
-        if floor is not None and eps is not None and eps < REGRESSION_TOLERANCE * floor:
-            failures.append(
-                f"{name}: {eps:.0f} events/sec is >20% below baseline {floor} "
-                f"(floor {REGRESSION_TOLERANCE * floor:.0f})")
         alloc_cap = base.get("max_allocs_per_rpc")
         if alloc_cap is not None:
             allocs = got.get("allocs_per_rpc")

@@ -33,7 +33,8 @@ Sample Measure(Mode mode, int files, int scans) {
   if (!RunTask(cluster.sched(), cluster.CreateVolume("v", 8, 8))->ok()) std::abort();
   auto mounted = RunTask(cluster.sched(), cluster.MountClient("v"));
   if (!mounted || !mounted->ok()) std::abort();
-  client::Client* c = **mounted;
+  client::Client* cl = **mounted;
+  client::MountContext* c = cl->default_mount();
   auto& sched = cluster.sched();
 
   const int kFiles = files;
@@ -47,10 +48,10 @@ Sample Measure(Mode mode, int files, int scans) {
   }
   sched.RunFor(3 * kSec);  // cold caches at scan start
 
-  uint64_t rpcs0 = c->stats().meta_rpcs;
+  uint64_t rpcs0 = cl->stats().meta_rpcs;
   SimTime t0 = sched.Now();
   uint64_t entries = 0;
-  bool done = RunTaskVoid(sched, [](client::Client* c, uint64_t dir_ino, Mode mode,
+  bool done = RunTaskVoid(sched, [](client::MountContext* c, uint64_t dir_ino, Mode mode,
                                     int scans, uint64_t& entries) -> Task<void> {
     for (int s = 0; s < scans; s++) {
       if (mode == Mode::kPerInode) {
@@ -71,7 +72,7 @@ Sample Measure(Mode mode, int files, int scans) {
   Sample s;
   SimDuration elapsed = sched.Now() - t0;
   s.iops = elapsed > 0 ? entries * 1.0e6 / static_cast<double>(elapsed) : 0;
-  s.rpcs_per_entry = entries ? static_cast<double>(c->stats().meta_rpcs - rpcs0) / entries : 0;
+  s.rpcs_per_entry = entries ? static_cast<double>(cl->stats().meta_rpcs - rpcs0) / entries : 0;
   return s;
 }
 

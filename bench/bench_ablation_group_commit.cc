@@ -57,14 +57,14 @@ CellResult RunCell(bool batching_on, int clients, int ops_per_client, uint64_t s
     std::fprintf(stderr, "volume create failed\n");
     std::abort();
   }
-  std::vector<client::Client*> cs;
+  std::vector<client::MountContext*> cs;
   for (int i = 0; i < clients; i++) {
     auto c = harness::RunTask(cluster.sched(), cluster.MountClient("bench"));
     if (!c || !c->ok()) {
       std::fprintf(stderr, "mount failed\n");
       std::abort();
     }
-    cs.push_back(**c);
+    cs.push_back((**c)->default_mount());
   }
 
   // Workload-only deltas: boot and volume admin also propose through raft.
@@ -76,7 +76,7 @@ CellResult RunCell(bool batching_on, int clients, int ops_per_client, uint64_t s
   int done = 0;
   SimTime start = cluster.sched().Now();
   for (int i = 0; i < clients; i++) {
-    sim::Spawn([](harness::Cluster* cl, client::Client* c, int id, int ops,
+    sim::Spawn([](harness::Cluster* cl, client::MountContext* c, int id, int ops,
                   std::vector<SimDuration>& lats, int& done) -> sim::Task<void> {
       for (int j = 0; j < ops; j++) {
         SimTime t0 = cl->sched().Now();

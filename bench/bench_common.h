@@ -72,9 +72,9 @@ inline CfsBench MakeCfsBench(int num_clients, uint64_t seed = 1,
       std::abort();
     }
     b.clients.push_back(**c);
-    b.meta_adapters.push_back(std::make_unique<CfsMetaOps>(**c));
+    b.meta_adapters.push_back(std::make_unique<CfsMetaOps>((**c)->default_mount()));
     b.data_adapters.push_back(std::make_unique<CfsDataOps>(
-        b.cluster.get(), **c, 128 * kKiB));
+        b.cluster.get(), (**c)->default_mount(), 128 * kKiB));
   }
   return b;
 }

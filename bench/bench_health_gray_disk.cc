@@ -90,7 +90,7 @@ GrayRunResult RunOnce(bool smoke, uint32_t slow_factor, uint64_t seed) {
       std::abort();
     }
     for (int p = 0; p < kProcs; p++) {
-      adapters.push_back(std::make_unique<CfsDataOps>(&cluster, **mounted, 128 * kKiB));
+      adapters.push_back(std::make_unique<CfsDataOps>(&cluster, (**mounted)->default_mount(), 128 * kKiB));
       auto file = harness::RunTask(cluster.sched(), adapters.back()->PrepareFile(64 * kMiB));
       if (!file || !file->ok()) {
         std::fprintf(stderr, "prepare failed\n");

@@ -45,28 +45,39 @@ int main() {
   ClusterOptions options;
   options.num_nodes = 5;
   Cluster cluster(options);
-  auto run = [&](auto task) { return *RunTask(cluster.sched(), std::move(task)); };
+  auto run = [&](auto task) { return RunTask(cluster.sched(), std::move(task)).value(); };
+  // Every step and every byte read back is checked: a failure prints a
+  // FAILED line and the example exits 1.
+  int failures = 0;
+  auto check = [&](bool ok, const char* step) {
+    if (!ok) {
+      std::printf("FAILED: %s\n", step);
+      failures++;
+    }
+  };
 
   if (!run(cluster.Start()).ok() || !run(cluster.CreateVolume("images", 3, 8)).ok()) {
     return 1;
   }
   client::Client* client = *run(cluster.MountClient("images"));
-  vfs::FileSystem fs(client);
-  (void)run(fs.Mkdir("/products"));
+  vfs::FileSystem fs(client->default_mount());
+  check(run(fs.Mkdir("/products")).ok(), "mkdir /products");
 
   // Upload a catalog of small images (4-96 KB).
   const int kImages = 60;
   Rng rng(2026);
   std::vector<std::string> paths;
+  std::vector<std::string> images;
   uint64_t uploaded_bytes = 0;
   for (int i = 0; i < kImages; i++) {
     std::string path = "/products/sku-" + std::to_string(1000 + i) + ".jpg";
     uint64_t size = (4 + rng.Uniform(93)) * kKiB;
     std::string payload(size, static_cast<char>('A' + i % 26));
     vfs::Fd fd = *run(fs.Open(path, vfs::kCreate | vfs::kWrite));
-    (void)run(fs.Write(fd, payload));
-    (void)run(fs.Close(fd));
+    check(run(fs.Write(fd, payload)).ok(), "upload write");
+    check(run(fs.Close(fd)).ok(), "upload close");
     paths.push_back(path);
+    images.push_back(std::move(payload));
     uploaded_bytes += size;
   }
   StoreStats after_upload = Collect(cluster);
@@ -79,11 +90,12 @@ int main() {
   // Serve a read burst (the long-tail read path: all metadata in memory).
   uint64_t served = 0;
   for (int round = 0; round < 3; round++) {
-    for (const auto& path : paths) {
-      vfs::Fd fd = *run(fs.Open(path, vfs::kRead));
+    for (size_t i = 0; i < paths.size(); i++) {
+      vfs::Fd fd = *run(fs.Open(paths[i], vfs::kRead));
       auto bytes = *run(fs.Read(fd, 128 * kKiB));
       served += bytes.size();
-      (void)run(fs.Close(fd));
+      check(bytes == images[i], "bytes read back from an image");
+      check(run(fs.Close(fd)).ok(), "close after read");
     }
   }
   std::printf("served %llu KiB across %d reads\n",
@@ -92,7 +104,7 @@ int main() {
   // Retire a third of the catalog: asynchronous delete -> punch hole.
   int removed = 0;
   for (size_t i = 0; i < paths.size(); i += 3) {
-    (void)run(fs.Unlink(paths[i]));
+    check(run(fs.Unlink(paths[i])).ok(), "unlink an image");
     removed++;
   }
   std::printf("deleted %d images; waiting for the async purge (§2.7.3)...\n", removed);
@@ -106,10 +118,17 @@ int main() {
               static_cast<unsigned long long>(after_delete.punched / kKiB));
 
   // The survivors still read back fine around the holes.
-  vfs::Fd fd = *run(fs.Open(paths[1], vfs::kRead));
-  auto bytes = *run(fs.Read(fd, 128 * kKiB));
-  std::printf("post-delete read of %s: %zu bytes OK\n", paths[1].c_str(), bytes.size());
-  (void)run(fs.Close(fd));
+  int intact = 0, survivors = 0;
+  for (size_t i = 0; i < paths.size(); i++) {
+    if (i % 3 == 0) continue;  // deleted above
+    survivors++;
+    vfs::Fd fd = *run(fs.Open(paths[i], vfs::kRead));
+    if (*run(fs.Read(fd, 128 * kKiB)) == images[i]) intact++;
+    check(run(fs.Close(fd)).ok(), "close after read");
+  }
+  std::printf("post-delete reads: %d of %d survivors intact\n", intact, survivors);
+  check(intact == survivors, "bytes read back after the deletes");
+  if (failures) return 1;
   std::printf("small-file store scenario OK\n");
   return 0;
 }

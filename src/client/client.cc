@@ -1039,33 +1039,23 @@ Client::Client(sim::Network* net, sim::Host* host, std::vector<sim::NodeId> mast
       opts_(opts),
       channel_(net, &rpc_metrics_) {}
 
-sim::Task<Status> Client::Mount(std::string volume) {
-  return MountImpl(std::move(volume));
-}
-
-sim::Task<Status> Client::MountImpl(std::string volume) {
-  auto r = co_await MountVolumeImpl(std::move(volume));
-  co_return r.ok() ? Status::OK() : r.status();
-}
-
-sim::Task<Result<MountContext*>> Client::MountVolume(std::string volume) {
-  return MountVolumeImpl(std::move(volume));
-}
-
-sim::Task<Result<MountContext*>> Client::MountVolumeImpl(std::string volume) {
+sim::Task<Result<MountContext*>> Client::Mount(std::string volume) {
   auto it = mounts_.find(volume);
-  if (it != mounts_.end()) {
-    // Idempotent: mounting a volume twice hands back the live context.
-    MountContext* existing = it->second.get();
-    if (default_mount_ == nullptr) default_mount_ = existing;
-    co_return existing;
-  }
+  // Idempotent: mounting a volume twice hands back the live context.
+  if (it != mounts_.end()) co_return it->second.get();
   auto ctx = std::make_unique<MountContext>(net_, host_, masters_, &opts_, &stats_,
                                             &rpc_metrics_, &channel_, volume);
   MountContext* raw = ctx.get();
   Status st = co_await raw->Mount();
   if (!st.ok()) co_return st;
-  mounts_.emplace(std::move(volume), std::move(ctx));
+  auto [pos, inserted] = mounts_.try_emplace(std::move(volume), std::move(ctx));
+  if (!inserted) {
+    // A concurrent Mount of the same volume finished first: hand back its
+    // context and retire this one, whose refresh loop still holds it.
+    raw->Deactivate();
+    retired_mounts_.push_back(std::move(ctx));
+    co_return pos->second.get();
+  }
   if (default_mount_ == nullptr) default_mount_ = raw;
   co_return raw;
 }
@@ -1097,96 +1087,7 @@ MountContext* Client::mount(const std::string& volume) {
   return it == mounts_.end() ? nullptr : it->second.get();
 }
 
-const rpc::RouterStats& Client::router_stats() const {
-  static const rpc::RouterStats kEmpty{};
-  return default_mount_ ? default_mount_->router_stats() : kEmpty;
-}
-
-// --- Default-mount delegation ---------------------------------------------------
-
-sim::Task<Result<Inode>> Client::Create(InodeId parent, std::string name, FileType type,
-                                        std::string symlink_target) {
-  if (!default_mount_) return FailWith<Result<Inode>>(Status::Unavailable("no mounted volume"));
-  return default_mount_->Create(parent, std::move(name), type, std::move(symlink_target));
-}
-
-sim::Task<Status> Client::Link(InodeId parent, std::string name, InodeId ino) {
-  if (!default_mount_) return FailWith<Status>(Status::Unavailable("no mounted volume"));
-  return default_mount_->Link(parent, std::move(name), ino);
-}
-
-sim::Task<Status> Client::Unlink(InodeId parent, std::string name) {
-  if (!default_mount_) return FailWith<Status>(Status::Unavailable("no mounted volume"));
-  return default_mount_->Unlink(parent, std::move(name));
-}
-
-sim::Task<Status> Client::Rename(InodeId old_parent, std::string old_name,
-                                 InodeId new_parent, std::string new_name) {
-  if (!default_mount_) return FailWith<Status>(Status::Unavailable("no mounted volume"));
-  return default_mount_->Rename(old_parent, std::move(old_name), new_parent,
-                                std::move(new_name));
-}
-
-sim::Task<Result<Dentry>> Client::Lookup(InodeId parent, std::string name) {
-  if (!default_mount_) return FailWith<Result<Dentry>>(Status::Unavailable("no mounted volume"));
-  return default_mount_->Lookup(parent, std::move(name));
-}
-
-sim::Task<Result<Inode>> Client::GetInode(InodeId ino) {
-  if (!default_mount_) return FailWith<Result<Inode>>(Status::Unavailable("no mounted volume"));
-  return default_mount_->GetInode(ino);
-}
-
-sim::Task<Result<std::vector<Dentry>>> Client::ReadDir(InodeId parent) {
-  if (!default_mount_) {
-    return FailWith<Result<std::vector<Dentry>>>(Status::Unavailable("no mounted volume"));
-  }
-  return default_mount_->ReadDir(parent);
-}
-
-sim::Task<Result<std::vector<std::pair<Dentry, Inode>>>> Client::ReadDirPlus(InodeId parent) {
-  if (!default_mount_) {
-    return FailWith<Result<std::vector<std::pair<Dentry, Inode>>>>(
-        Status::Unavailable("no mounted volume"));
-  }
-  return default_mount_->ReadDirPlus(parent);
-}
-
-sim::Task<Status> Client::Open(InodeId ino) {
-  if (!default_mount_) return FailWith<Status>(Status::Unavailable("no mounted volume"));
-  return default_mount_->Open(ino);
-}
-
-sim::Task<Status> Client::Close(InodeId ino) {
-  if (!default_mount_) return FailWith<Status>(Status::Unavailable("no mounted volume"));
-  return default_mount_->Close(ino);
-}
-
-sim::Task<Status> Client::Write(InodeId ino, uint64_t offset, Buffer data) {
-  if (!default_mount_) return FailWith<Status>(Status::Unavailable("no mounted volume"));
-  return default_mount_->Write(ino, offset, std::move(data));
-}
-
-sim::Task<Result<Buffer>> Client::Read(InodeId ino, uint64_t offset, uint64_t len) {
-  if (!default_mount_) return FailWith<Result<Buffer>>(Status::Unavailable("no mounted volume"));
-  return default_mount_->Read(ino, offset, len);
-}
-
-sim::Task<Status> Client::Fsync(InodeId ino) {
-  if (!default_mount_) return FailWith<Status>(Status::Unavailable("no mounted volume"));
-  return default_mount_->Fsync(ino);
-}
-
-sim::Task<Status> Client::Truncate(InodeId ino, uint64_t new_size) {
-  if (!default_mount_) return FailWith<Status>(Status::Unavailable("no mounted volume"));
-  return default_mount_->Truncate(ino, new_size);
-}
-
 sim::Task<void> Client::EvictOrphans() {
-  return EvictOrphansImpl();
-}
-
-sim::Task<void> Client::EvictOrphansImpl() {
   // Snapshot the context pointers: mounts_ can gain/lose entries while this
   // coroutine is suspended, and retirement keeps every pointer alive for the
   // Client's lifetime, so the frame-local copy stays safe to walk.
@@ -1201,15 +1102,6 @@ size_t Client::orphan_count() const {
   size_t n = 0;
   for (const auto& [name, ctx] : mounts_) n += ctx->orphan_count();
   return n;
-}
-
-sim::Task<Status> Client::RefreshVolume() {
-  if (!default_mount_) return FailWith<Status>(Status::Unavailable("no mounted volume"));
-  return default_mount_->RefreshVolume();
-}
-
-void Client::InjectPreparedFile(InodeId ino, std::vector<ExtentKey> keys, uint64_t size) {
-  if (default_mount_) default_mount_->InjectPreparedFile(ino, std::move(keys), size);
 }
 
 }  // namespace cfs::client

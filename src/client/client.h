@@ -5,9 +5,11 @@
 // Multi-tenancy: one Client (one container host) holds N mounts. All
 // per-volume state — the volume view, partition/leader caches, metadata
 // caches, open files, orphan list, the refresh loop, and the QoS token
-// buckets — lives in an explicit MountContext. The Client itself keeps only
-// what is genuinely per-host: the metered channel, the per-RPC metric
-// registry, and the aggregate ClientStats. Mount/Unmount are first-class;
+// buckets — lives in an explicit MountContext, and every metadata and file
+// op is a MountContext method: Client::Mount returns the context callers
+// issue ops on. The Client itself keeps only what is genuinely per-host:
+// the metered channel, the per-RPC metric registry, and the aggregate
+// ClientStats. Mount/Unmount are first-class;
 // unmounting stops the mount's refresh loop (its coroutine observes the
 // generation bump at the next wakeup) and retires the context — it stays
 // alive until the Client dies so detached coroutines started under it
@@ -208,7 +210,7 @@ class LruTtlCache {
 /// Client's ClientStats / MetricRegistry / raw channel, so aggregate
 /// per-client accounting is unchanged by the multi-mount refactor.
 ///
-/// Lifetime: created by Client::MountVolume and owned by the Client until
+/// Lifetime: created by Client::Mount and owned by the Client until
 /// the Client dies — Unmount only deactivates it (stops the refresh loop,
 /// fails new ops) and moves it to the retired list. Callers holding a
 /// MountContext* across a co_await must re-check mounted() after resuming;
@@ -438,11 +440,9 @@ class MountContext {
   std::vector<std::pair<PartitionId, InodeId>> orphans_;
 };
 
-/// Multi-mount client shell. Holds per-host shared state (channel, metric
-/// registry, aggregate stats) plus a map of named MountContexts. The
-/// single-volume API (Mount + ops without a mount handle) operates on the
-/// DEFAULT mount — the first volume mounted — and is bit-compatible with the
-/// pre-refactor single-volume client.
+/// One client host: per-host shared state (channel, metric registry,
+/// aggregate stats) plus a map of named MountContexts. Every file and
+/// metadata op is issued on the MountContext that Mount returns.
 class Client {
  public:
   Client(sim::Network* net, sim::Host* host, std::vector<sim::NodeId> masters,
@@ -451,13 +451,9 @@ class Client {
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
 
-  /// Fetch the volume view and start the periodic refresh loop. The first
-  /// mounted volume becomes the default mount for the mountless op API.
-  sim::Task<Status> Mount(std::string volume);
-
-  /// First-class multi-volume mount: returns the (new or existing, if still
-  /// mounted) context for `volume`.
-  sim::Task<Result<MountContext*>> MountVolume(std::string volume);
+  /// Fetch the volume view and start the periodic refresh loop. Returns the
+  /// new context for `volume`, or the live one if it is already mounted.
+  sim::Task<Result<MountContext*>> Mount(std::string volume);
 
   /// Deactivate `volume`'s mount: its refresh loop stops at the next wakeup
   /// and new ops on it fail Unavailable. The context is retired, not
@@ -468,75 +464,28 @@ class Client {
 
   /// Active mount lookup (nullptr when not mounted / already unmounted).
   MountContext* mount(const std::string& volume);
+  /// The first mounted volume; on its Unmount the next live mount (in
+  /// volume-name order) takes over, and nullptr once none is left.
   MountContext* default_mount() { return default_mount_; }
   const std::map<std::string, std::unique_ptr<MountContext>>& mounts() const {
     return mounts_;
   }
   size_t num_mounts() const { return mounts_.size(); }
 
-  bool mounted() const { return default_mount_ != nullptr && default_mount_->mounted(); }
   const ClientStats& stats() const { return stats_; }
-  ClientStats& mutable_stats() { return stats_; }
   const ClientOptions& options() const { return opts_; }
 
   /// Per-RPC outcome/latency metrics for every leg this client issued.
   const rpc::MetricRegistry& rpc_metrics() const { return rpc_metrics_; }
-  /// Leader-cache behaviour of the default mount's Router (hits, probes,
-  /// invalidations, redirects).
-  const rpc::RouterStats& router_stats() const;
-
-  // --- Default-mount operation API (see MountContext for semantics) ---
-
-  sim::Task<Result<Inode>> Create(InodeId parent, std::string name, FileType type,
-                                  std::string symlink_target = "");
-  sim::Task<Status> Link(InodeId parent, std::string name, InodeId ino);
-  sim::Task<Status> Unlink(InodeId parent, std::string name);
-  sim::Task<Status> Rename(InodeId old_parent, std::string old_name,
-                           InodeId new_parent, std::string new_name);
-  sim::Task<Result<Dentry>> Lookup(InodeId parent, std::string name);
-  sim::Task<Result<Inode>> GetInode(InodeId ino);
-  sim::Task<Result<std::vector<Dentry>>> ReadDir(InodeId parent);
-  sim::Task<Result<std::vector<std::pair<Dentry, Inode>>>> ReadDirPlus(InodeId parent);
-  sim::Task<Status> Open(InodeId ino);
-  sim::Task<Status> Close(InodeId ino);
-  sim::Task<Status> Write(InodeId ino, uint64_t offset, Buffer data);
-  sim::Task<Status> Write(InodeId ino, uint64_t offset, std::string data) {
-    return Write(ino, offset, Buffer::FromString(std::move(data)));
-  }
-  sim::Task<Result<Buffer>> Read(InodeId ino, uint64_t offset, uint64_t len);
-  sim::Task<Status> Fsync(InodeId ino);
-  sim::Task<Status> Truncate(InodeId ino, uint64_t new_size);
-  sim::Task<Status> Delete(InodeId parent, std::string name) {
-    return Unlink(parent, std::move(name));
-  }
 
   /// Drain the orphan lists of every active mount.
   sim::Task<void> EvictOrphans();
   /// Orphans across every active mount.
   size_t orphan_count() const;
 
-  /// Force-refresh the default mount's partition views now.
-  sim::Task<Status> RefreshVolume();
-
-  PartitionId append_partition(InodeId ino) const {
-    return default_mount_ ? default_mount_->append_partition(ino) : 0;
-  }
-  void InjectPreparedFile(InodeId ino, std::vector<ExtentKey> keys, uint64_t size);
-
   sim::NodeId node() const { return host_->id(); }
 
  private:
-  sim::Task<Status> MountImpl(std::string volume);
-  sim::Task<Result<MountContext*>> MountVolumeImpl(std::string volume);
-  sim::Task<void> EvictOrphansImpl();
-
-  /// Error task for ops issued with no active default mount. T must be
-  /// constructible from Status (Status itself or any Result<V>).
-  template <typename T>
-  static sim::Task<T> FailWith(Status st) {
-    co_return st;
-  }
-
   sim::Network* net_;
   sim::Host* host_;
   std::vector<sim::NodeId> masters_;

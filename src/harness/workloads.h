@@ -53,9 +53,7 @@ class DataOps {
 
 class CfsMetaOps : public MetaOps {
  public:
-  /// Operates on ONE mount: construct from a Client (its default mount) or
-  /// from a specific MountContext in multi-tenant rigs.
-  explicit CfsMetaOps(client::Client* c) : m_(c->default_mount()) {}
+  /// Operates on ONE mount.
   explicit CfsMetaOps(client::MountContext* m) : m_(m) {}
   sim::Task<Result<uint64_t>> Mkdir(uint64_t parent, std::string name) override;
   sim::Task<Result<uint64_t>> Create(uint64_t parent, std::string name) override;
@@ -70,8 +68,6 @@ class CfsMetaOps : public MetaOps {
 
 class CfsDataOps : public DataOps {
  public:
-  CfsDataOps(harness::Cluster* cluster, client::Client* c, uint64_t small_threshold)
-      : cluster_(cluster), m_(c->default_mount()), small_threshold_(small_threshold) {}
   CfsDataOps(harness::Cluster* cluster, client::MountContext* m, uint64_t small_threshold)
       : cluster_(cluster), m_(m), small_threshold_(small_threshold) {}
   sim::Task<Result<uint64_t>> PrepareFile(uint64_t bytes) override;

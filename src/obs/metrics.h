@@ -1,12 +1,11 @@
 // Unified metric primitives: counters, gauges, and fixed-bucket histograms
 // in one Registry with deterministic (std::map) iteration, dumpable as JSON.
 //
-// The Histogram here is the generalization of the former
-// rpc::LatencyHistogram (which is now an alias); rpc::MetricRegistry keeps
-// its per-RPC outcome semantics but exports into an obs::Registry so
-// harness::Cluster can merge every per-node source — RPC registries, raft
-// group-commit counters, client stats, disk and network accounting — behind
-// one DumpJson().
+// The Histogram here is also the per-RPC latency histogram of
+// rpc::MetricRegistry, which keeps its per-RPC outcome semantics but exports
+// into an obs::Registry so harness::Cluster can merge every per-node
+// source — RPC registries, raft group-commit counters, client stats, disk
+// and network accounting — behind one DumpJson().
 //
 // Naming convention (DESIGN.md "Observability"): dot-separated
 // "<subsystem>.<metric>", e.g. "raft.gc.batches", "client.cache_hits",

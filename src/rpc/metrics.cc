@@ -73,14 +73,7 @@ std::string MetricRegistry::DumpJson() const {
              "\":" + std::to_string(m.outcomes[i]) + ",";
     }
     out += "\"retries\":" + std::to_string(m.retries) + ",";
-    out += "\"latency\":{\"count\":" + std::to_string(m.latency.count) +
-           ",\"sum_usec\":" + std::to_string(m.latency.sum_usec) +
-           ",\"max_usec\":" + std::to_string(m.latency.max_usec) + ",\"buckets\":[";
-    for (int i = 0; i <= LatencyHistogram::kNumBounds; i++) {
-      if (i) out += ",";
-      out += std::to_string(m.latency.buckets[i]);
-    }
-    out += "]}}";
+    out += "\"latency\":" + m.latency.DumpJson() + "}";
   }
   out += "}";
   return out;

@@ -32,15 +32,10 @@ enum class Outcome : int {
 
 std::string_view OutcomeName(Outcome o);
 
-/// Fixed-bucket latency histogram; now the shared obs::Histogram (which
-/// added p50/p95/p99 interpolated quantiles). The alias keeps every
-/// existing rpc:: call site and test working unchanged.
-using LatencyHistogram = obs::Histogram;
-
 struct RpcMetrics {
   uint64_t outcomes[static_cast<int>(Outcome::kNumOutcomes)] = {};
   uint64_t retries = 0;  // legs beyond the first of a logical call
-  LatencyHistogram latency;
+  obs::Histogram latency;
 
   uint64_t Count(Outcome o) const { return outcomes[static_cast<int>(o)]; }
   void MergeFrom(const RpcMetrics& other);

@@ -137,13 +137,6 @@ Status ExtentStore::DeleteExtentSync(ExtentId id) {
 }
 
 Status ExtentStore::PunchHoleSync(ExtentId id, uint64_t offset, uint64_t len) {
-  CFS_RETURN_IF_ERROR(MarkPunched(id, offset, len));
-  sim::Spawn(ChargeWrite(disk_, 0));
-  EraseIfFullyPunched(id);
-  return Status::OK();
-}
-
-Status ExtentStore::MarkPunched(ExtentId id, uint64_t offset, uint64_t len) {
   Extent* e = FindMutable(id);
   if (!e) return Status::NotFound("extent " + std::to_string(id));
   if (offset + len > e->size) return Status::InvalidArgument("hole beyond extent end");
@@ -154,15 +147,15 @@ Status ExtentStore::MarkPunched(ExtentId id, uint64_t offset, uint64_t len) {
   physical_bytes_ -= len;
   disk_->PunchHole(len);
   if (opts_.track_contents) SpliceInPlace(e, offset, ZeroBlock(len), Crc32cZeros(len));
+  // fallocate(PUNCH_HOLE) is metadata-only on the device: charge a fixed
+  // small latency, not a data transfer.
+  sim::Spawn(ChargeWrite(disk_, 0));
+  if (e->FullyPunched()) {
+    logical_bytes_ -= e->size;
+    if (active_tiny_ == id) active_tiny_ = 0;
+    extents_.erase(id);
+  }
   return Status::OK();
-}
-
-void ExtentStore::EraseIfFullyPunched(ExtentId id) {
-  const Extent* e = Find(id);
-  if (!e || !e->FullyPunched()) return;
-  logical_bytes_ -= e->size;
-  if (active_tiny_ == id) active_tiny_ = 0;
-  extents_.erase(id);
 }
 
 ExtentId ExtentStore::CreateExtent() {
@@ -236,19 +229,6 @@ uint64_t ExtentStore::ExtentSize(ExtentId id) const {
   return e ? e->size : 0;
 }
 
-sim::Task<Status> ExtentStore::Append(ExtentId id, uint64_t offset, Buffer data) {
-  Extent* e = FindMutable(id);
-  if (!e) co_return Status::NotFound("extent " + std::to_string(id));
-  if (offset != e->size) {
-    co_return Status::InvalidArgument("append must be at end of extent");
-  }
-  if (e->size + data.size() > opts_.extent_size_limit) {
-    co_return Status::NoSpace("extent full");
-  }
-  const uint64_t n = AppendBytes(e, std::move(data));
-  co_return co_await disk_->Write(n);
-}
-
 bool ExtentStore::RangeIsPunched(const Extent& e, uint64_t offset, uint64_t len) const {
   if (e.punched_bytes == 0) return false;  // hot path: most extents have no holes
   for (const auto& [ho, hl] : e.holes) {
@@ -295,28 +275,6 @@ sim::Task<Result<std::pair<ExtentId, uint64_t>>> ExtentStore::WriteSmall(
   const uint64_t n = AppendBytes(tiny, std::move(data));
   CFS_CO_RETURN_IF_ERROR(co_await disk_->Write(n, trace));
   co_return std::make_pair(id, offset);
-}
-
-sim::Task<Status> ExtentStore::PunchHole(ExtentId id, uint64_t offset, uint64_t len) {
-  CFS_CO_RETURN_IF_ERROR(MarkPunched(id, offset, len));
-  // fallocate(PUNCH_HOLE) is metadata-only on the device: charge a fixed
-  // small latency, not a data transfer.
-  CFS_CO_RETURN_IF_ERROR(co_await disk_->Write(0));
-  EraseIfFullyPunched(id);  // by id: the await may have moved the extent
-  co_return Status::OK();
-}
-
-sim::Task<Status> ExtentStore::DeleteExtent(ExtentId id) {
-  Extent* e = FindMutable(id);
-  if (!e) co_return Status::NotFound("extent " + std::to_string(id));
-  if (e->tiny) co_return Status::InvalidArgument("tiny extents are freed via punch hole");
-  uint64_t phys = e->PhysicalBytes();
-  logical_bytes_ -= e->size;
-  physical_bytes_ -= phys;
-  disk_->PunchHole(phys);
-  if (active_tiny_ == id) active_tiny_ = 0;
-  extents_.erase(id);
-  co_return co_await disk_->Write(0);  // unlink is a metadata op
 }
 
 sim::Task<Status> ExtentStore::VerifyExtent(ExtentId id) {

@@ -126,8 +126,9 @@ class ExtentStore {
 
   /// Replica path: place bytes at an exact offset, which must equal the
   /// extent's current size (the chain delivers placements in order; callers
-  /// buffer out-of-order arrivals). A traced caller passes its span context
-  /// so the disk write shows up as a "disk:write" child span.
+  /// buffer out-of-order arrivals). Returns NoSpace once the extent reaches
+  /// its size limit. A traced caller passes its span context so the disk
+  /// write shows up as a "disk:write" child span.
   ///
   /// Write paths take the shared Buffer (by value — a refcount bump) and,
   /// in tracking mode, keep it as the extent's next piece. Its memoized
@@ -148,7 +149,7 @@ class ExtentStore {
     for (const auto& [id, e] : extents_) fn(e);
   }
 
-  // --- Synchronous variants for raft Apply (§2.2.4 overwrite path) ---
+  // --- Raft-applied mutations (§2.2.4 overwrite path) ---
   // Raft state machines apply commands synchronously; these validate and
   // mutate inline and charge the disk time as a detached task.
 
@@ -158,15 +159,14 @@ class ExtentStore {
   /// shared by every replica applying that entry. The cached extent CRC is
   /// kept exact in time proportional to the bytes written.
   Status OverwriteSync(ExtentId id, uint64_t offset, const Buffer& data);
+  /// Large-file delete path: remove the whole extent from disk (§2.2.3:
+  /// "different from deleting large files, where the extents of the file can
+  /// be removed directly").
   Status DeleteExtentSync(ExtentId id);
+  /// Release a small file's range via fallocate(PUNCH_HOLE): zero the bytes
+  /// (cached CRC kept exact). The extent is removed entirely once every byte
+  /// of it has been punched.
   Status PunchHoleSync(ExtentId id, uint64_t offset, uint64_t len);
-
-  /// Sequential write: `offset` must equal the extent's current size.
-  /// Returns NoSpace once the extent reaches its size limit.
-  sim::Task<Status> Append(ExtentId id, uint64_t offset, Buffer data);
-  sim::Task<Status> Append(ExtentId id, uint64_t offset, std::string_view data) {
-    return Append(id, offset, Buffer::CopyOf(data));
-  }
 
   /// Read `len` bytes at `offset`; a whole-extent read verifies the cached
   /// CRC with a full pass when contents are tracked. Reading a punched range
@@ -185,15 +185,6 @@ class ExtentStore {
                                                               obs::TraceContext trace = {}) {
     return WriteSmall(Buffer::CopyOf(data), trace);
   }
-
-  /// Release a small file's range via fallocate(PUNCH_HOLE). The extent is
-  /// removed entirely once every byte of it has been punched.
-  sim::Task<Status> PunchHole(ExtentId id, uint64_t offset, uint64_t len);
-
-  /// Large-file delete path: remove the whole extent from disk (§2.2.3:
-  /// "different from deleting large files, where the extents of the file can
-  /// be removed directly").
-  sim::Task<Status> DeleteExtent(ExtentId id);
 
   /// Verify the cached CRC of an extent against its contents (tracking mode
   /// only). Used by replica repair.
@@ -224,15 +215,10 @@ class ExtentStore {
  private:
   Extent* FindMutable(ExtentId id);
   bool RangeIsPunched(const Extent& e, uint64_t offset, uint64_t len) const;
-  /// Shared by PunchHole and PunchHoleSync: validate, record the hole, zero
-  /// the bytes (CRC kept exact). The caller charges the disk, then calls
-  /// EraseIfFullyPunched.
-  Status MarkPunched(ExtentId id, uint64_t offset, uint64_t len);
-  /// Shared by PlaceAt, Append and WriteSmall: extend the cached CRC from
+  /// Shared by PlaceAt and WriteSmall: extend the cached CRC from
   /// the payload's memoized Crc0, keep the payload as the extent's next
   /// piece (tracking mode) and grow the byte counts. Returns the length.
   uint64_t AppendBytes(Extent* e, Buffer data);
-  void EraseIfFullyPunched(ExtentId id);
 
   sim::Disk* disk_;
   ExtentStoreOptions opts_;

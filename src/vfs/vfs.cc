@@ -46,11 +46,11 @@ Task<Result<InodeId>> FileSystem::Resolve(std::string path, bool follow_symlink)
   InodeId cur = kRootInode;
   int symlink_budget = 16;
   for (size_t i = 0; i < parts.size(); i++) {
-    auto d = co_await client_->Lookup(cur, parts[i]);
+    auto d = co_await mount_->Lookup(cur, parts[i]);
     if (!d.ok()) co_return d.status();
     if (d->type == FileType::kSymlink && (follow_symlink || i + 1 < parts.size())) {
       if (--symlink_budget == 0) co_return Status::InvalidArgument("symlink loop");
-      auto target_ino = co_await client_->GetInode(d->inode);
+      auto target_ino = co_await mount_->GetInode(d->inode);
       if (!target_ino.ok()) co_return target_ino.status();
       // Restart resolution at the symlink target + remaining components.
       std::string rest;
@@ -84,29 +84,29 @@ Task<Status> FileSystem::Mkdir(std::string path) {
   std::string name;
   auto parent = co_await ResolveParent(path, &name);
   if (!parent.ok()) co_return parent.status();
-  auto r = co_await client_->Create(*parent, name, FileType::kDir);
+  auto r = co_await mount_->Create(*parent, name, FileType::kDir);
   co_return r.status();
 }
 
 Task<Status> FileSystem::Rmdir(std::string path) {
   auto ino = co_await Resolve(path);
   if (!ino.ok()) co_return ino.status();
-  auto attr = co_await client_->GetInode(*ino);
+  auto attr = co_await mount_->GetInode(*ino);
   if (!attr.ok()) co_return attr.status();
   if (!attr->IsDir()) co_return Status::InvalidArgument("not a directory");
-  auto entries = co_await client_->ReadDir(*ino);
+  auto entries = co_await mount_->ReadDir(*ino);
   if (!entries.ok()) co_return entries.status();
   if (!entries->empty()) co_return Status::InvalidArgument("directory not empty");
   std::string name;
   auto parent = co_await ResolveParent(path, &name);
   if (!parent.ok()) co_return parent.status();
-  co_return co_await client_->Unlink(*parent, name);
+  co_return co_await mount_->Unlink(*parent, name);
 }
 
 Task<Result<std::vector<DirEntry>>> FileSystem::ListDir(std::string path) {
   auto ino = co_await Resolve(path);
   if (!ino.ok()) co_return ino.status();
-  auto pairs = co_await client_->ReadDirPlus(*ino);
+  auto pairs = co_await mount_->ReadDirPlus(*ino);
   if (!pairs.ok()) co_return pairs.status();
   std::vector<DirEntry> out;
   out.reserve(pairs->size());
@@ -130,7 +130,7 @@ Task<Result<Fd>> FileSystem::Open(std::string path, uint32_t flags) {
     std::string name;
     auto parent = co_await ResolveParent(path, &name);
     if (!parent.ok()) co_return parent.status();
-    auto created = co_await client_->Create(*parent, name, FileType::kFile);
+    auto created = co_await mount_->Create(*parent, name, FileType::kFile);
     if (!created.ok()) {
       // Lost a create race: fall back to the winner's file.
       if (created.status().IsAlreadyExists() && !(flags & kExclusive)) {
@@ -147,15 +147,15 @@ Task<Result<Fd>> FileSystem::Open(std::string path, uint32_t flags) {
     co_return resolved.status();
   }
 
-  CFS_CO_RETURN_IF_ERROR(co_await client_->Open(ino));
+  CFS_CO_RETURN_IF_ERROR(co_await mount_->Open(ino));
   if (flags & kTruncate) {
-    CFS_CO_RETURN_IF_ERROR(co_await client_->Truncate(ino, 0));
+    CFS_CO_RETURN_IF_ERROR(co_await mount_->Truncate(ino, 0));
   }
   FdState st;
   st.ino = ino;
   st.flags = flags;
   if (flags & kAppend) {
-    auto inode = co_await client_->GetInode(ino);
+    auto inode = co_await mount_->GetInode(ino);
     if (inode.ok()) st.offset = inode->size;
   }
   Fd fd = next_fd_++;
@@ -173,13 +173,13 @@ Task<Status> FileSystem::Close(Fd fd) {
   for (const auto& [ofd, st] : fds_) {
     if (st.ino == ino) co_return Status::OK();
   }
-  co_return co_await client_->Close(ino);
+  co_return co_await mount_->Close(ino);
 }
 
 Task<Status> FileSystem::Fsync(Fd fd) {
   auto it = fds_.find(fd);
   if (it == fds_.end()) co_return Status::InvalidArgument("bad fd");
-  co_return co_await client_->Fsync(it->second.ino);
+  co_return co_await mount_->Fsync(it->second.ino);
 }
 
 Task<Result<size_t>> FileSystem::Write(Fd fd, std::string data) {
@@ -188,7 +188,7 @@ Task<Result<size_t>> FileSystem::Write(Fd fd, std::string data) {
   if (!(it->second.flags & kWrite)) co_return Status::InvalidArgument("fd not writable");
   size_t n = data.size();
   CFS_CO_RETURN_IF_ERROR(
-      co_await client_->Write(it->second.ino, it->second.offset, std::move(data)));
+      co_await mount_->Write(it->second.ino, it->second.offset, std::move(data)));
   // Re-look the fd up: fds_ may have been mutated (open/close) while this
   // coroutine was suspended in the write, invalidating the iterator (A1).
   it = fds_.find(fd);
@@ -201,14 +201,14 @@ Task<Result<size_t>> FileSystem::Pwrite(Fd fd, uint64_t offset, std::string data
   if (it == fds_.end()) co_return Status::InvalidArgument("bad fd");
   if (!(it->second.flags & kWrite)) co_return Status::InvalidArgument("fd not writable");
   size_t n = data.size();
-  CFS_CO_RETURN_IF_ERROR(co_await client_->Write(it->second.ino, offset, std::move(data)));
+  CFS_CO_RETURN_IF_ERROR(co_await mount_->Write(it->second.ino, offset, std::move(data)));
   co_return n;
 }
 
 Task<Result<std::string>> FileSystem::Read(Fd fd, uint64_t len) {
   auto it = fds_.find(fd);
   if (it == fds_.end()) co_return Status::InvalidArgument("bad fd");
-  auto r = co_await client_->Read(it->second.ino, it->second.offset, len);
+  auto r = co_await mount_->Read(it->second.ino, it->second.offset, len);
   if (!r.ok()) co_return r.status();
   // Re-look the fd up: fds_ may have been mutated (open/close) while this
   // coroutine was suspended in the read, invalidating the iterator (A1).
@@ -220,7 +220,7 @@ Task<Result<std::string>> FileSystem::Read(Fd fd, uint64_t len) {
 Task<Result<std::string>> FileSystem::Pread(Fd fd, uint64_t offset, uint64_t len) {
   auto it = fds_.find(fd);
   if (it == fds_.end()) co_return Status::InvalidArgument("bad fd");
-  auto r = co_await client_->Read(it->second.ino, offset, len);
+  auto r = co_await mount_->Read(it->second.ino, offset, len);
   if (!r.ok()) co_return r.status();
   co_return r->ToString();
 }
@@ -235,12 +235,12 @@ Task<Result<uint64_t>> FileSystem::Seek(Fd fd, uint64_t offset) {
 Task<Status> FileSystem::Unlink(std::string path) {
   auto ino = co_await Resolve(path, /*follow_symlink=*/false);
   if (!ino.ok()) co_return ino.status();
-  auto attr = co_await client_->GetInode(*ino);
+  auto attr = co_await mount_->GetInode(*ino);
   if (attr.ok() && attr->IsDir()) co_return Status::InvalidArgument("is a directory");
   std::string name;
   auto parent = co_await ResolveParent(path, &name);
   if (!parent.ok()) co_return parent.status();
-  co_return co_await client_->Unlink(*parent, name);
+  co_return co_await mount_->Unlink(*parent, name);
 }
 
 Task<Status> FileSystem::Rename(std::string from, std::string to) {
@@ -249,13 +249,13 @@ Task<Status> FileSystem::Rename(std::string from, std::string to) {
   if (!from_parent.ok()) co_return from_parent.status();
   auto to_parent = co_await ResolveParent(to, &to_name);
   if (!to_parent.ok()) co_return to_parent.status();
-  co_return co_await client_->Rename(*from_parent, from_name, *to_parent, to_name);
+  co_return co_await mount_->Rename(*from_parent, from_name, *to_parent, to_name);
 }
 
 Task<Status> FileSystem::Truncate(std::string path, uint64_t size) {
   auto ino = co_await Resolve(path);
   if (!ino.ok()) co_return ino.status();
-  co_return co_await client_->Truncate(*ino, size);
+  co_return co_await mount_->Truncate(*ino, size);
 }
 
 // --- Links ---------------------------------------------------------------------
@@ -263,28 +263,28 @@ Task<Status> FileSystem::Truncate(std::string path, uint64_t size) {
 Task<Status> FileSystem::HardLink(std::string existing, std::string link_path) {
   auto ino = co_await Resolve(existing);
   if (!ino.ok()) co_return ino.status();
-  auto attr = co_await client_->GetInode(*ino);
+  auto attr = co_await mount_->GetInode(*ino);
   if (attr.ok() && attr->IsDir()) {
     co_return Status::InvalidArgument("hard links to directories are not allowed");
   }
   std::string name;
   auto parent = co_await ResolveParent(link_path, &name);
   if (!parent.ok()) co_return parent.status();
-  co_return co_await client_->Link(*parent, name, *ino);
+  co_return co_await mount_->Link(*parent, name, *ino);
 }
 
 Task<Status> FileSystem::Symlink(std::string target, std::string link_path) {
   std::string name;
   auto parent = co_await ResolveParent(link_path, &name);
   if (!parent.ok()) co_return parent.status();
-  auto r = co_await client_->Create(*parent, name, FileType::kSymlink, target);
+  auto r = co_await mount_->Create(*parent, name, FileType::kSymlink, target);
   co_return r.status();
 }
 
 Task<Result<std::string>> FileSystem::ReadLink(std::string path) {
   auto ino = co_await Resolve(path, /*follow_symlink=*/false);
   if (!ino.ok()) co_return ino.status();
-  auto inode = co_await client_->GetInode(*ino);
+  auto inode = co_await mount_->GetInode(*ino);
   if (!inode.ok()) co_return inode.status();
   if (inode->type != FileType::kSymlink) co_return Status::InvalidArgument("not a symlink");
   co_return inode->link_target;
@@ -295,7 +295,7 @@ Task<Result<std::string>> FileSystem::ReadLink(std::string path) {
 Task<Result<Attr>> FileSystem::Stat(std::string path) {
   auto ino = co_await Resolve(path);
   if (!ino.ok()) co_return ino.status();
-  auto inode = co_await client_->GetInode(*ino);
+  auto inode = co_await mount_->GetInode(*ino);
   if (!inode.ok()) co_return inode.status();
   co_return ToAttr(*inode);
 }

@@ -12,7 +12,7 @@
 namespace cfs::harness {
 namespace {
 
-using client::Client;
+using client::MountContext;
 using meta::FileType;
 using meta::kRootInode;
 using sim::Task;
@@ -25,34 +25,34 @@ ClusterOptions SmallCluster(uint64_t seed) {
   return opts;
 }
 
-/// Boot + mount, returning the client (nullptr on failure, which the
+/// Boot + mount, returning the client's mount (nullptr on failure, which the
 /// scenario surfaces as a hash of the failed run — still deterministic).
-Client* BootAndMount(Cluster& cluster) {
+MountContext* BootAndMount(Cluster& cluster) {
   auto st = RunTask(cluster.sched(), cluster.Start());
   if (!st || !st->ok()) return nullptr;
   st = RunTask(cluster.sched(), cluster.CreateVolume("v", 3, 8));
   if (!st || !st->ok()) return nullptr;
   auto c = RunTask(cluster.sched(), cluster.MountClient("v"));
   if (!c || !c->ok()) return nullptr;
-  return **c;
+  return (**c)->default_mount();
 }
 
 TEST(Determinism, MetadataAndDataWorkloadReplaysIdentically) {
   auto scenario = [](Cluster& cluster) {
-    Client* client = BootAndMount(cluster);
-    ASSERT_NE(client, nullptr);
+    MountContext* m = BootAndMount(cluster);
+    ASSERT_NE(m, nullptr);
     for (int i = 0; i < 8; i++) {
       auto f = RunTask(cluster.sched(),
-                       client->Create(kRootInode, "f" + std::to_string(i),
-                                      FileType::kFile));
+                       m->Create(kRootInode, "f" + std::to_string(i),
+                                 FileType::kFile));
       ASSERT_TRUE(f && f->ok());
-      ASSERT_TRUE(RunTask(cluster.sched(), client->Open((*f)->id))->ok());
+      ASSERT_TRUE(RunTask(cluster.sched(), m->Open((*f)->id))->ok());
       ASSERT_TRUE(RunTask(cluster.sched(),
-                          client->Write((*f)->id, 0, std::string(64 * kKiB, 'd')))
+                          m->Write((*f)->id, 0, std::string(64 * kKiB, 'd')))
                       ->ok());
-      ASSERT_TRUE(RunTask(cluster.sched(), client->Close((*f)->id))->ok());
+      ASSERT_TRUE(RunTask(cluster.sched(), m->Close((*f)->id))->ok());
     }
-    (void)RunTask(cluster.sched(), client->ReadDir(kRootInode));
+    (void)RunTask(cluster.sched(), m->ReadDir(kRootInode));
     cluster.sched().RunFor(2 * kSec);
   };
   auto [first, second] = AuditDeterminism(SmallCluster(11), scenario);
@@ -61,22 +61,22 @@ TEST(Determinism, MetadataAndDataWorkloadReplaysIdentically) {
 
 TEST(Determinism, CrashAndRestartReplaysIdentically) {
   auto scenario = [](Cluster& cluster) {
-    Client* client = BootAndMount(cluster);
-    ASSERT_NE(client, nullptr);
+    MountContext* m = BootAndMount(cluster);
+    ASSERT_NE(m, nullptr);
     auto f = RunTask(cluster.sched(),
-                     client->Create(kRootInode, "crashy.bin", FileType::kFile));
+                     m->Create(kRootInode, "crashy.bin", FileType::kFile));
     ASSERT_TRUE(f && f->ok());
-    ASSERT_TRUE(RunTask(cluster.sched(), client->Open((*f)->id))->ok());
+    ASSERT_TRUE(RunTask(cluster.sched(), m->Open((*f)->id))->ok());
     ASSERT_TRUE(RunTask(cluster.sched(),
-                        client->Write((*f)->id, 0, std::string(128 * kKiB, 'a')))
+                        m->Write((*f)->id, 0, std::string(128 * kKiB, 'a')))
                     ->ok());
     cluster.CrashNode(2);
     cluster.sched().RunFor(2 * kSec);
     (void)RunTask(cluster.sched(),
-                  client->Write((*f)->id, 128 * kKiB, std::string(64 * kKiB, 'b')));
+                  m->Write((*f)->id, 128 * kKiB, std::string(64 * kKiB, 'b')));
     ASSERT_TRUE(RunTaskVoid(cluster.sched(), cluster.RestartNode(2)));
     cluster.sched().RunFor(3 * kSec);
-    (void)RunTask(cluster.sched(), client->Read((*f)->id, 0, 192 * kKiB));
+    (void)RunTask(cluster.sched(), m->Read((*f)->id, 0, 192 * kKiB));
   };
   auto [first, second] = AuditDeterminism(SmallCluster(23), scenario);
   EXPECT_EQ(first, second);
@@ -85,13 +85,13 @@ TEST(Determinism, CrashAndRestartReplaysIdentically) {
 TEST(Determinism, MessageLossReplaysIdentically) {
   // Drops draw from the seeded RNG, so even lossy runs must replay exactly.
   auto scenario = [](Cluster& cluster) {
-    Client* client = BootAndMount(cluster);
-    ASSERT_NE(client, nullptr);
+    MountContext* m = BootAndMount(cluster);
+    ASSERT_NE(m, nullptr);
     cluster.net().SetDropProbability(0.05);
     for (int i = 0; i < 10; i++) {
       (void)RunTask(cluster.sched(),
-                    client->Create(kRootInode, "lossy" + std::to_string(i),
-                                   FileType::kFile));
+                    m->Create(kRootInode, "lossy" + std::to_string(i),
+                              FileType::kFile));
     }
     cluster.net().SetDropProbability(0);
     cluster.sched().RunFor(2 * kSec);
@@ -102,18 +102,18 @@ TEST(Determinism, MessageLossReplaysIdentically) {
 
 /// A mixed metadata + data workload used by the tracing audits below.
 void TracedScenario(Cluster& cluster) {
-  Client* client = BootAndMount(cluster);
-  ASSERT_NE(client, nullptr);
+  MountContext* m = BootAndMount(cluster);
+  ASSERT_NE(m, nullptr);
   for (int i = 0; i < 4; i++) {
     auto f = RunTask(cluster.sched(),
-                     client->Create(kRootInode, "t" + std::to_string(i), FileType::kFile));
+                     m->Create(kRootInode, "t" + std::to_string(i), FileType::kFile));
     ASSERT_TRUE(f && f->ok());
     ASSERT_TRUE(RunTask(cluster.sched(),
-                        client->Write((*f)->id, 0, std::string(192 * kKiB, 'x')))
+                        m->Write((*f)->id, 0, std::string(192 * kKiB, 'x')))
                     ->ok());
-    (void)RunTask(cluster.sched(), client->Read((*f)->id, 0, 64 * kKiB));
+    (void)RunTask(cluster.sched(), m->Read((*f)->id, 0, 64 * kKiB));
   }
-  (void)RunTask(cluster.sched(), client->ReadDirPlus(kRootInode));
+  (void)RunTask(cluster.sched(), m->ReadDirPlus(kRootInode));
   cluster.sched().RunFor(1 * kSec);
 }
 
@@ -202,10 +202,10 @@ TEST(Determinism, DifferentSeedsDiverge) {
   // Sanity check on the auditor's sensitivity: the same scenario under a
   // different seed takes a different event path (timers, jitter, drops).
   auto scenario = [](Cluster& cluster) {
-    Client* client = BootAndMount(cluster);
-    ASSERT_NE(client, nullptr);
+    MountContext* m = BootAndMount(cluster);
+    ASSERT_NE(m, nullptr);
     (void)RunTask(cluster.sched(),
-                  client->Create(kRootInode, "seeded", FileType::kFile));
+                  m->Create(kRootInode, "seeded", FileType::kFile));
     cluster.sched().RunFor(1 * kSec);
   };
   auto [a, a2] = AuditDeterminism(SmallCluster(5), scenario);

@@ -41,8 +41,8 @@ class ExtentFixture : public ::testing::Test {
 TEST_F(ExtentFixture, AppendAndReadBack) {
   Run([&]() -> Task<void> {
     ExtentId id = store_->CreateExtent();
-    EXPECT_TRUE((co_await store_->Append(id, 0, "hello ")).ok());
-    EXPECT_TRUE((co_await store_->Append(id, 6, "world")).ok());
+    EXPECT_TRUE((co_await store_->PlaceAt(id, 0, "hello ")).ok());
+    EXPECT_TRUE((co_await store_->PlaceAt(id, 6, "world")).ok());
     auto r = co_await store_->Read(id, 0, 11);
     EXPECT_TRUE(r.ok());
     if (r.ok()) EXPECT_EQ(*r, "hello world");
@@ -53,10 +53,10 @@ TEST_F(ExtentFixture, AppendAndReadBack) {
 TEST_F(ExtentFixture, AppendMustBeAtEnd) {
   Run([&]() -> Task<void> {
     ExtentId id = store_->CreateExtent();
-    (void)co_await store_->Append(id, 0, "abc");
-    Status st = co_await store_->Append(id, 1, "x");
+    (void)co_await store_->PlaceAt(id, 0, "abc");
+    Status st = co_await store_->PlaceAt(id, 1, "x");
     EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-    st = co_await store_->Append(id, 10, "x");
+    st = co_await store_->PlaceAt(id, 10, "x");
     EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
   });
 }
@@ -65,9 +65,9 @@ TEST_F(ExtentFixture, ExtentSizeLimitEnforced) {
   Run([&]() -> Task<void> {
     ExtentId id = store_->CreateExtent();
     std::string big(512 * kKiB, 'a');
-    EXPECT_TRUE((co_await store_->Append(id, 0, big)).ok());
-    EXPECT_TRUE((co_await store_->Append(id, big.size(), big)).ok());
-    Status st = co_await store_->Append(id, 2 * big.size(), "x");
+    EXPECT_TRUE((co_await store_->PlaceAt(id, 0, big)).ok());
+    EXPECT_TRUE((co_await store_->PlaceAt(id, big.size(), big)).ok());
+    Status st = co_await store_->PlaceAt(id, 2 * big.size(), "x");
     EXPECT_TRUE(st.IsNoSpace());
   });
 }
@@ -75,7 +75,7 @@ TEST_F(ExtentFixture, ExtentSizeLimitEnforced) {
 TEST_F(ExtentFixture, OverwriteInPlace) {
   Run([&]() -> Task<void> {
     ExtentId id = store_->CreateExtent();
-    (void)co_await store_->Append(id, 0, "aaaaaaaaaa");
+    (void)co_await store_->PlaceAt(id, 0, "aaaaaaaaaa");
     EXPECT_TRUE(store_->OverwriteSync(id, 3, Buffer::CopyOf("XYZ")).ok());
     auto r = co_await store_->Read(id, 0, 10);
     EXPECT_TRUE(r.ok());
@@ -88,7 +88,7 @@ TEST_F(ExtentFixture, OverwriteInPlace) {
 TEST_F(ExtentFixture, OverwriteBeyondEndRejected) {
   Run([&]() -> Task<void> {
     ExtentId id = store_->CreateExtent();
-    (void)co_await store_->Append(id, 0, "abc");
+    (void)co_await store_->PlaceAt(id, 0, "abc");
     Status st = store_->OverwriteSync(id, 2, Buffer::CopyOf("toolong"));
     EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
   });
@@ -97,7 +97,7 @@ TEST_F(ExtentFixture, OverwriteBeyondEndRejected) {
 TEST_F(ExtentFixture, CrcCaughtAfterOverwrite) {
   Run([&]() -> Task<void> {
     ExtentId id = store_->CreateExtent();
-    (void)co_await store_->Append(id, 0, "0123456789");
+    (void)co_await store_->PlaceAt(id, 0, "0123456789");
     EXPECT_TRUE(store_->OverwriteSync(id, 0, Buffer::CopyOf("9876543210")).ok());
     EXPECT_EQ(store_->Find(id)->crc, Crc32c("9876543210"));
     // Whole-extent read verifies the incrementally updated CRC.
@@ -145,7 +145,7 @@ TEST_F(ExtentFixture, PunchHoleFreesSpaceAndBlocksReads) {
     auto r1 = co_await store_->WriteSmall(f1);
     auto r2 = co_await store_->WriteSmall(f2);
     uint64_t before = store_->physical_bytes();
-    EXPECT_TRUE((co_await store_->PunchHole(r1->first, r1->second, f1.size())).ok());
+    EXPECT_TRUE(store_->PunchHoleSync(r1->first, r1->second, f1.size()).ok());
     EXPECT_EQ(store_->physical_bytes(), before - f1.size());
     // Reading the punched file fails; the neighbour is intact.
     auto bad = co_await store_->Read(r1->first, r1->second, f1.size());
@@ -159,9 +159,9 @@ TEST_F(ExtentFixture, PunchHoleFreesSpaceAndBlocksReads) {
 TEST_F(ExtentFixture, DoublePunchRejected) {
   Run([&]() -> Task<void> {
     auto r = co_await store_->WriteSmall(std::string(1024, 'x'));
-    EXPECT_TRUE((co_await store_->PunchHole(r->first, r->second, 1024)).ok());
+    EXPECT_TRUE(store_->PunchHoleSync(r->first, r->second, 1024).ok());
     // A second punch of the same (now gone or punched) range fails cleanly.
-    Status st = co_await store_->PunchHole(r->first, r->second, 1024);
+    Status st = store_->PunchHoleSync(r->first, r->second, 1024);
     EXPECT_FALSE(st.ok());
   });
 }
@@ -171,9 +171,9 @@ TEST_F(ExtentFixture, FullyPunchedTinyExtentIsRemoved) {
     auto r1 = co_await store_->WriteSmall(std::string(512, 'a'));
     auto r2 = co_await store_->WriteSmall(std::string(512, 'b'));
     size_t extents_before = store_->num_extents();
-    (void)co_await store_->PunchHole(r1->first, r1->second, 512);
+    (void)store_->PunchHoleSync(r1->first, r1->second, 512);
     EXPECT_EQ(store_->num_extents(), extents_before);  // half punched: stays
-    (void)co_await store_->PunchHole(r2->first, r2->second, 512);
+    (void)store_->PunchHoleSync(r2->first, r2->second, 512);
     EXPECT_EQ(store_->num_extents(), extents_before - 1);  // all punched: gone
   });
 }
@@ -181,9 +181,9 @@ TEST_F(ExtentFixture, FullyPunchedTinyExtentIsRemoved) {
 TEST_F(ExtentFixture, DeleteLargeExtentDirectly) {
   Run([&]() -> Task<void> {
     ExtentId id = store_->CreateExtent();
-    (void)co_await store_->Append(id, 0, std::string(64 * kKiB, 'z'));
+    (void)co_await store_->PlaceAt(id, 0, std::string(64 * kKiB, 'z'));
     uint64_t before = store_->physical_bytes();
-    EXPECT_TRUE((co_await store_->DeleteExtent(id)).ok());
+    EXPECT_TRUE(store_->DeleteExtentSync(id).ok());
     EXPECT_EQ(store_->physical_bytes(), before - 64 * kKiB);
     EXPECT_FALSE(store_->Has(id));
   });
@@ -192,7 +192,7 @@ TEST_F(ExtentFixture, DeleteLargeExtentDirectly) {
 TEST_F(ExtentFixture, DeleteTinyExtentRejected) {
   Run([&]() -> Task<void> {
     auto r = co_await store_->WriteSmall("tiny");
-    Status st = co_await store_->DeleteExtent(r->first);
+    Status st = store_->DeleteExtentSync(r->first);
     EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
   });
 }
@@ -217,7 +217,7 @@ TEST_F(ExtentFixture, AccountingModeTracksSizesWithoutContents) {
   ExtentStore store(host_->disk(1), opts);
   Run([&]() -> Task<void> {
     ExtentId id = store.CreateExtent();
-    (void)co_await store.Append(id, 0, std::string(1 * kMiB, 'a'));
+    (void)co_await store.PlaceAt(id, 0, std::string(1 * kMiB, 'a'));
     EXPECT_EQ(store.ExtentSize(id), 1 * kMiB);
     EXPECT_EQ(store.Find(id)->data.size(), 0u);  // no bytes materialized
     auto r = co_await store.Read(id, 0, 1024);
@@ -230,7 +230,7 @@ TEST_F(ExtentFixture, AccountingModeTracksSizesWithoutContents) {
 TEST_F(ExtentFixture, RebuildCrcCacheAfterRestart) {
   Run([&]() -> Task<void> {
     ExtentId id = store_->CreateExtent();
-    (void)co_await store_->Append(id, 0, "data-to-check");
+    (void)co_await store_->PlaceAt(id, 0, "data-to-check");
     EXPECT_TRUE((co_await store_->RebuildCrcCache()).ok());
     EXPECT_TRUE((co_await store_->VerifyExtent(id)).ok());
   });
@@ -239,7 +239,7 @@ TEST_F(ExtentFixture, RebuildCrcCacheAfterRestart) {
 TEST_F(ExtentFixture, ReadSurvivesInsertsWhileDiskReadPending) {
   Run([&]() -> Task<void> {
     ExtentId id = store_->CreateExtent();
-    (void)co_await store_->Append(id, 0, "stable bytes");
+    (void)co_await store_->PlaceAt(id, 0, "stable bytes");
     Result<Buffer> got = Status::Unavailable("read never finished");
     Spawn([](ExtentStore* store, ExtentId id, Result<Buffer>* out) -> Task<void> {
       *out = co_await store->Read(id, 0, 12);
@@ -256,7 +256,7 @@ TEST_F(ExtentFixture, ReadSurvivesInsertsWhileDiskReadPending) {
 TEST_F(ExtentFixture, ReadOfExtentDeletedWhileDiskReadPendingIsNotFound) {
   Run([&]() -> Task<void> {
     ExtentId id = store_->CreateExtent();
-    (void)co_await store_->Append(id, 0, "doomed");
+    (void)co_await store_->PlaceAt(id, 0, "doomed");
     Result<Buffer> got = Status::Unavailable("read never finished");
     Spawn([](ExtentStore* store, ExtentId id, Result<Buffer>* out) -> Task<void> {
       *out = co_await store->Read(id, 0, 6);
@@ -272,7 +272,7 @@ TEST_F(ExtentFixture, PunchedTinyExtentKeepsExactCrc) {
     auto r1 = co_await store_->WriteSmall(std::string(3000, 'a'));
     auto r2 = co_await store_->WriteSmall(std::string(5000, 'b'));
     auto r3 = co_await store_->WriteSmall(std::string(700, 'c'));
-    EXPECT_TRUE((co_await store_->PunchHole(r2->first, r2->second, 5000)).ok());
+    EXPECT_TRUE(store_->PunchHoleSync(r2->first, r2->second, 5000).ok());
     EXPECT_TRUE(store_->PunchHoleSync(r1->first, r1->second, 1000).ok());
     const Extent* e = store_->Find(r1->first);
     EXPECT_EQ(e->crc, Crc32c(Contents(*e)));
@@ -290,58 +290,55 @@ TEST_F(ExtentFixture, PunchedTinyExtentKeepsExactCrc) {
 
 TEST_F(ExtentFixture, RandomOverwritesAndPunchesKeepCrcExact) {
   Rng rng(20190701);
-  Run([&]() -> Task<void> {
-    for (int round = 0; round < 48; round++) {
-      const ExtentId id = 100 + round;
-      const bool tiny = round % 2 == 1;
-      uint64_t size;
-      switch (round % 4) {
-        case 0: size = rng.Range(1, 16); break;
-        case 1: size = rng.Range(17, 4 * kKiB); break;
-        default: size = rng.Range(4 * kKiB, 192 * kKiB); break;
-      }
-      EXPECT_TRUE(store_->ImportExtent(id, size, tiny).ok());
-      std::string model(size, '\0');
-      for (int step = 0; step < 24; step++) {
-        const Extent* e = store_->Find(id);
-        if (e == nullptr) break;  // fully punched and removed
-        uint64_t off = 0, len = size;  // whole extent
-        switch (rng.Uniform(4)) {
-          case 0:
-            break;
-          case 1:  // up to the end: zero-length tail
-            len = rng.Range(0, size);
-            off = size - len;
-            break;
-          default:
-            off = rng.Uniform(size);
-            len = rng.Range(0, size - off);
-            break;
-        }
-        bool punch = tiny && rng.Chance(0.3) && len > 0;
-        Status st;
-        std::string y(len, '\0');
-        if (punch && step % 2 == 0) {
-          st = co_await store_->PunchHole(id, off, len);
-        } else if (punch) {
-          st = store_->PunchHoleSync(id, off, len);
-        } else {
-          for (char& c : y) c = static_cast<char>(rng.Next());
-          st = store_->OverwriteSync(id, off, Buffer::CopyOf(y));
-        }
-        // Ranges that overlap an earlier hole are rejected untouched.
-        EXPECT_TRUE(st.ok() || st.code() == StatusCode::kInvalidArgument) << st.ToString();
-        if (st.ok()) model.replace(off, len, y);
-        e = store_->Find(id);
-        if (e == nullptr) break;
-        EXPECT_EQ(Contents(*e), model) << "round " << round << " step " << step;
-        EXPECT_EQ(e->crc, Crc32c(model)) << "round " << round << " step " << step;
-      }
+  for (int round = 0; round < 48; round++) {
+    const ExtentId id = 100 + round;
+    const bool tiny = round % 2 == 1;
+    uint64_t size;
+    switch (round % 4) {
+      case 0: size = rng.Range(1, 16); break;
+      case 1: size = rng.Range(17, 4 * kKiB); break;
+      default: size = rng.Range(4 * kKiB, 192 * kKiB); break;
     }
-    InvariantReport report;
-    store_->CheckInvariants(&report);
-    EXPECT_TRUE(report.ok()) << report.ToString();
-  });
+    EXPECT_TRUE(store_->ImportExtent(id, size, tiny).ok());
+    std::string model(size, '\0');
+    for (int step = 0; step < 24; step++) {
+      const Extent* e = store_->Find(id);
+      if (e == nullptr) break;  // fully punched and removed
+      uint64_t off = 0, len = size;  // whole extent
+      switch (rng.Uniform(4)) {
+        case 0:
+          break;
+        case 1:  // up to the end: zero-length tail
+          len = rng.Range(0, size);
+          off = size - len;
+          break;
+        default:
+          off = rng.Uniform(size);
+          len = rng.Range(0, size - off);
+          break;
+      }
+      bool punch = tiny && rng.Chance(0.3) && len > 0;
+      Status st;
+      std::string y(len, '\0');
+      if (punch) {
+        st = store_->PunchHoleSync(id, off, len);
+      } else {
+        for (char& c : y) c = static_cast<char>(rng.Next());
+        st = store_->OverwriteSync(id, off, Buffer::CopyOf(y));
+      }
+      // Ranges that overlap an earlier hole are rejected untouched.
+      EXPECT_TRUE(st.ok() || st.code() == StatusCode::kInvalidArgument) << st.ToString();
+      if (st.ok()) model.replace(off, len, y);
+      e = store_->Find(id);
+      if (e == nullptr) break;
+      EXPECT_EQ(Contents(*e), model) << "round " << round << " step " << step;
+      EXPECT_EQ(e->crc, Crc32c(model)) << "round " << round << " step " << step;
+    }
+  }
+  InvariantReport report;
+  store_->CheckInvariants(&report);
+  EXPECT_TRUE(report.ok()) << report.ToString();
+  sched_.Run();  // drain the detached disk charges
 }
 
 // Three chain replicas place the same packets: each keeps the writer's bytes
@@ -387,7 +384,7 @@ TEST_F(ExtentFixture, PieceCountStaysBoundedByBytes) {
     for (int step = 0; step < 4000; step++) {
       const char c = static_cast<char>(rng.Next());
       if (rng.Chance(0.5)) {
-        EXPECT_TRUE((co_await store_->Append(id, model.size(), std::string_view(&c, 1))).ok());
+        EXPECT_TRUE((co_await store_->PlaceAt(id, model.size(), std::string_view(&c, 1))).ok());
         model.push_back(c);
       } else {
         const uint64_t off = rng.Uniform(model.size());

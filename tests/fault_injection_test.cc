@@ -12,6 +12,7 @@ namespace cfs::harness {
 namespace {
 
 using client::Client;
+using client::MountContext;
 using meta::FileType;
 using meta::kRootInode;
 using sim::Task;
@@ -29,6 +30,7 @@ class FaultFixture : public ::testing::Test {
     auto c = RunTask(cluster_->sched(), cluster_->MountClient("v"));
     ASSERT_TRUE(c->ok());
     client_ = **c;
+    m_ = client_->default_mount();
   }
 
   template <typename T>
@@ -52,6 +54,7 @@ class FaultFixture : public ::testing::Test {
 
   std::unique_ptr<Cluster> cluster_;
   Client* client_ = nullptr;
+  MountContext* m_ = nullptr;  // client_->default_mount()
 };
 
 TEST_F(FaultFixture, MetadataOpsSurviveFivePercentMessageLoss) {
@@ -59,13 +62,13 @@ TEST_F(FaultFixture, MetadataOpsSurviveFivePercentMessageLoss) {
   cluster_->net().SetDropProbability(0.05);
   int created = 0;
   for (int i = 0; i < 30; i++) {
-    auto r = Run(client_->Create(kRootInode, "lossy" + std::to_string(i), FileType::kFile));
+    auto r = Run(m_->Create(kRootInode, "lossy" + std::to_string(i), FileType::kFile));
     // Client retries hide most drops; whatever failed must not corrupt state.
     if (r.ok()) created++;
   }
   cluster_->net().SetDropProbability(0);
   cluster_->sched().RunFor(2 * kSec);
-  auto listed = Run(client_->ReadDir(kRootInode));
+  auto listed = Run(m_->ReadDir(kRootInode));
   ASSERT_TRUE(listed.ok());
   // Everything the client saw acknowledged is durably visible.
   EXPECT_GE(static_cast<int>(listed->size()), created);
@@ -74,28 +77,28 @@ TEST_F(FaultFixture, MetadataOpsSurviveFivePercentMessageLoss) {
 
 TEST_F(FaultFixture, WritesUnderMessageLossReadBackIntact) {
   Boot();
-  auto f = Run(client_->Create(kRootInode, "lossy.bin", FileType::kFile));
+  auto f = Run(m_->Create(kRootInode, "lossy.bin", FileType::kFile));
   ASSERT_TRUE(f.ok());
-  ASSERT_TRUE(Run(client_->Open(f->id)).ok());
+  ASSERT_TRUE(Run(m_->Open(f->id)).ok());
   cluster_->net().SetDropProbability(0.02);
   std::string content(512 * kKiB, '\0');
   for (size_t i = 0; i < content.size(); i++) content[i] = static_cast<char>(i % 251);
-  Status st = Run(client_->Write(f->id, 0, content));
+  Status st = Run(m_->Write(f->id, 0, content));
   cluster_->net().SetDropProbability(0);
   ASSERT_TRUE(st.ok()) << st.ToString();
-  ASSERT_TRUE(Run(client_->Close(f->id)).ok());
-  auto read = Run(client_->Read(f->id, 0, content.size()));
+  ASSERT_TRUE(Run(m_->Close(f->id)).ok());
+  auto read = Run(m_->Read(f->id, 0, content.size()));
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   EXPECT_EQ(*read, content);
 }
 
 TEST_F(FaultFixture, ChainLeaderCrashMidStreamResendsToNewExtent) {
   Boot();
-  auto f = Run(client_->Create(kRootInode, "midstream.bin", FileType::kFile));
+  auto f = Run(m_->Create(kRootInode, "midstream.bin", FileType::kFile));
   ASSERT_TRUE(f.ok());
-  ASSERT_TRUE(Run(client_->Open(f->id)).ok());
+  ASSERT_TRUE(Run(m_->Open(f->id)).ok());
   std::string first(256 * kKiB, 'A');
-  ASSERT_TRUE(Run(client_->Write(f->id, 0, first)).ok());
+  ASSERT_TRUE(Run(m_->Write(f->id, 0, first)).ok());
 
   // Crash every chain leader's node candidate: find the partition that holds
   // the file's active extent and kill its first replica.
@@ -116,12 +119,12 @@ TEST_F(FaultFixture, ChainLeaderCrashMidStreamResendsToNewExtent) {
   // Keep appending: packets to dead chain leaders fail; the client resends
   // the suffix to fresh extents on other partitions (§2.2.5).
   std::string second(256 * kKiB, 'B');
-  Status st = Run(client_->Write(f->id, first.size(), second));
+  Status st = Run(m_->Write(f->id, first.size(), second));
   ASSERT_TRUE(st.ok()) << st.ToString();
-  ASSERT_TRUE(Run(client_->Close(f->id)).ok());
+  ASSERT_TRUE(Run(m_->Close(f->id)).ok());
 
   cluster_->sched().RunFor(2 * kSec);
-  auto read = Run(client_->Read(f->id, 0, first.size() + second.size()));
+  auto read = Run(m_->Read(f->id, 0, first.size() + second.size()));
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   EXPECT_EQ(read->size(), first.size() + second.size());
   EXPECT_EQ(*read, first + second);
@@ -145,10 +148,11 @@ TEST_F(FaultFixture, WindowedAppendSurvivesChainReplicaCrash) {
     auto c = RunTask(cluster_->sched(), cluster_->MountClient("v"));
     ASSERT_TRUE(c->ok());
     client_ = **c;
+    m_ = client_->default_mount();
 
-    auto f = Run(client_->Create(kRootInode, "windowed.bin", FileType::kFile));
+    auto f = Run(m_->Create(kRootInode, "windowed.bin", FileType::kFile));
     ASSERT_TRUE(f.ok());
-    ASSERT_TRUE(Run(client_->Open(f->id)).ok());
+    ASSERT_TRUE(Run(m_->Open(f->id)).ok());
 
     std::string content(4 * kMiB, '\0');
     for (size_t i = 0; i < content.size(); i++) {
@@ -156,13 +160,13 @@ TEST_F(FaultFixture, WindowedAppendSurvivesChainReplicaCrash) {
     }
     // Establish the append stream so the crash targets the active partition.
     std::string head = content.substr(0, 256 * kKiB);
-    ASSERT_TRUE(Run(client_->Write(f->id, 0, head)).ok());
+    ASSERT_TRUE(Run(m_->Write(f->id, 0, head)).ok());
 
     // 5 ms into the big write: crash a backup replica of the extent's chain.
     bool crashed = false;
     meta::InodeId ino = f->id;
     cluster_->sched().After(5 * kMsec, [this, ino, &crashed] {
-      client::PartitionId pid = client_->append_partition(ino);
+      client::PartitionId pid = m_->append_partition(ino);
       if (pid == 0) return;
       auto replicas = cluster_->DataPartitionReplicas(pid);
       if (replicas.size() < 2) return;
@@ -174,13 +178,13 @@ TEST_F(FaultFixture, WindowedAppendSurvivesChainReplicaCrash) {
         }
       }
     });
-    Status st = Run(client_->Write(f->id, head.size(), content.substr(head.size())));
+    Status st = Run(m_->Write(f->id, head.size(), content.substr(head.size())));
     ASSERT_TRUE(st.ok()) << st.ToString();
     ASSERT_TRUE(crashed);
-    ASSERT_TRUE(Run(client_->Close(f->id)).ok());
+    ASSERT_TRUE(Run(m_->Close(f->id)).ok());
 
     cluster_->sched().RunFor(2 * kSec);
-    auto read = Run(client_->Read(f->id, 0, content.size()));
+    auto read = Run(m_->Read(f->id, 0, content.size()));
     ASSERT_TRUE(read.ok()) << read.status().ToString();
     ASSERT_EQ(read->size(), content.size());
     EXPECT_EQ(*read, content);
@@ -199,11 +203,11 @@ TEST_F(FaultFixture, RollingCrashesOfAllStorageNodes) {
   // Build some state.
   std::string content(128 * kKiB, 'R');
   for (int i = 0; i < 6; i++) {
-    auto f = Run(client_->Create(kRootInode, "roll" + std::to_string(i), FileType::kFile));
+    auto f = Run(m_->Create(kRootInode, "roll" + std::to_string(i), FileType::kFile));
     ASSERT_TRUE(f.ok());
-    ASSERT_TRUE(Run(client_->Open(f->id)).ok());
-    ASSERT_TRUE(Run(client_->Write(f->id, 0, content)).ok());
-    ASSERT_TRUE(Run(client_->Close(f->id)).ok());
+    ASSERT_TRUE(Run(m_->Open(f->id)).ok());
+    ASSERT_TRUE(Run(m_->Write(f->id, 0, content)).ok());
+    ASSERT_TRUE(Run(m_->Close(f->id)).ok());
   }
   // Roll through every storage node: crash, wait, recover, verify.
   for (int i = 0; i < cluster_->num_nodes(); i++) {
@@ -214,13 +218,13 @@ TEST_F(FaultFixture, RollingCrashesOfAllStorageNodes) {
     ExpectInvariantsHold("after rolling recovery");
   }
   // All data still present and intact; metadata still serves.
-  auto listed = Run(client_->ReadDir(kRootInode));
+  auto listed = Run(m_->ReadDir(kRootInode));
   ASSERT_TRUE(listed.ok());
   EXPECT_EQ(listed->size(), 6u);
   for (int i = 0; i < 6; i++) {
-    auto d = Run(client_->Lookup(kRootInode, "roll" + std::to_string(i)));
+    auto d = Run(m_->Lookup(kRootInode, "roll" + std::to_string(i)));
     ASSERT_TRUE(d.ok());
-    auto read = Run(client_->Read(d->inode, 0, content.size()));
+    auto read = Run(m_->Read(d->inode, 0, content.size()));
     ASSERT_TRUE(read.ok()) << read.status().ToString();
     EXPECT_EQ(*read, content) << "roll" << i;
   }
@@ -236,9 +240,10 @@ TEST_F(FaultFixture, MetaPartitionRecoversFromSnapshotAfterChurn) {
   auto c = RunTask(cluster_->sched(), cluster_->MountClient("v"));
   ASSERT_TRUE(c->ok());
   client_ = **c;
+  m_ = client_->default_mount();
 
   for (int i = 0; i < 120; i++) {
-    ASSERT_TRUE(Run(client_->Create(kRootInode, "c" + std::to_string(i), FileType::kFile)).ok());
+    ASSERT_TRUE(Run(m_->Create(kRootInode, "c" + std::to_string(i), FileType::kFile)).ok());
   }
   cluster_->sched().RunFor(2 * kSec);  // let compaction run
 
@@ -249,7 +254,7 @@ TEST_F(FaultFixture, MetaPartitionRecoversFromSnapshotAfterChurn) {
     ASSERT_TRUE(RunTaskVoid(cluster_->sched(), cluster_->RestartNode(i)));
     cluster_->sched().RunFor(2 * kSec);
   }
-  auto listed = Run(client_->ReadDir(kRootInode));
+  auto listed = Run(m_->ReadDir(kRootInode));
   ASSERT_TRUE(listed.ok()) << listed.status().ToString();
   EXPECT_EQ(listed->size(), 120u);
 }
@@ -263,8 +268,8 @@ TEST_F(FaultFixture, OrphanInodesFromInjectedCreateFailuresAreEvictable) {
   int conflicts = 0;
   for (int i = 0; i < 10; i++) {
     std::string name = "race" + std::to_string(i);
-    ASSERT_TRUE(Run(client_->Create(kRootInode, name, FileType::kFile)).ok());
-    auto dup = Run(c2->Create(kRootInode, name, FileType::kFile));
+    ASSERT_TRUE(Run(m_->Create(kRootInode, name, FileType::kFile)).ok());
+    auto dup = Run(c2->default_mount()->Create(kRootInode, name, FileType::kFile));
     if (!dup.ok()) conflicts++;
   }
   EXPECT_EQ(conflicts, 10);

@@ -296,7 +296,7 @@ TEST_F(GroupCommit, LeaderCrashMidBatchKeepsGroupConsistent) {
 namespace cfs::harness {
 namespace {
 
-using client::Client;
+using client::MountContext;
 using meta::FileType;
 using meta::kRootInode;
 using sim::Spawn;
@@ -312,23 +312,23 @@ TEST(GroupCommitDeterminism, BatchedClientBurstReplaysIdentically) {
     ASSERT_TRUE(st && st->ok());
     st = RunTask(cluster.sched(), cluster.CreateVolume("v", 2, 4));
     ASSERT_TRUE(st && st->ok());
-    std::vector<Client*> clients;
+    std::vector<MountContext*> mounts;
     for (int i = 0; i < 32; i++) {
       auto c = RunTask(cluster.sched(), cluster.MountClient("v"));
       ASSERT_TRUE(c && c->ok());
-      clients.push_back(**c);
+      mounts.push_back((**c)->default_mount());
     }
     // All 32 clients create concurrently: their proposals pile into the
     // meta partitions' leader batch queues.
     int done = 0;
     for (int i = 0; i < 32; i++) {
-      Spawn([](Client* c, int i, int& done) -> Task<void> {
-        (void)co_await c->Create(kRootInode, "burst" + std::to_string(i),
+      Spawn([](MountContext* m, int i, int& done) -> Task<void> {
+        (void)co_await m->Create(kRootInode, "burst" + std::to_string(i),
                                  FileType::kFile);
-        (void)co_await c->Create(kRootInode, "burst2-" + std::to_string(i),
+        (void)co_await m->Create(kRootInode, "burst2-" + std::to_string(i),
                                  FileType::kFile);
         done++;
-      }(clients[i], i, done));
+      }(mounts[i], i, done));
     }
     ASSERT_TRUE(cluster.RunUntil([&] { return done == 32; }));
     cluster.sched().RunFor(2 * kSec);

@@ -265,14 +265,14 @@ TEST(ClusterHealth, ObserversFeedSeriesScorerAndMasterView) {
   ASSERT_TRUE(st && st->ok());
   auto c = harness::RunTask(cluster.sched(), cluster.MountClient("v"));
   ASSERT_TRUE(c && c->ok());
-  client::Client* client = **c;
+  client::MountContext* m = (**c)->default_mount();
   for (int i = 0; i < 4; i++) {
     auto f = harness::RunTask(
         cluster.sched(),
-        client->Create(meta::kRootInode, "f" + std::to_string(i), meta::FileType::kFile));
+        m->Create(meta::kRootInode, "f" + std::to_string(i), meta::FileType::kFile));
     ASSERT_TRUE(f && f->ok());
     ASSERT_TRUE(harness::RunTask(cluster.sched(),
-                                 client->Write((*f)->id, 0, std::string(256 * kKiB, 'h')))
+                                 m->Write((*f)->id, 0, std::string(256 * kKiB, 'h')))
                     ->ok());
   }
   cluster.sched().RunFor(3 * kSec);
@@ -314,22 +314,22 @@ TEST(ClusterHealth, SlowDiskDetectedAgainstCrossNodeCohort) {
   ASSERT_TRUE(st && st->ok());
   auto c = harness::RunTask(cluster.sched(), cluster.MountClient("v"));
   ASSERT_TRUE(c && c->ok());
-  client::Client* client = **c;
+  client::MountContext* m = (**c)->default_mount();
   auto f = harness::RunTask(
-      cluster.sched(), client->Create(meta::kRootInode, "load", meta::FileType::kFile));
+      cluster.sched(), m->Create(meta::kRootInode, "load", meta::FileType::kFile));
   ASSERT_TRUE(f && f->ok());
 
   // Steady writer: one 128 KiB overwrite per 50 ms keeps every raft WAL
   // (disk 0 on each node) busy enough to be latency-scorable each window.
   bool stop = false;
-  sim::Spawn([](harness::Cluster* cl, client::Client* cli, uint64_t ino,
+  sim::Spawn([](harness::Cluster* cl, client::MountContext* cli, uint64_t ino,
                 bool* stop) -> sim::Task<void> {
     uint64_t i = 0;
     while (!*stop) {
       (void)co_await cli->Write(ino, (i++ % 8) * 128 * kKiB, std::string(128 * kKiB, 'w'));
       co_await sim::SleepFor{cl->sched(), 50 * kMsec};
     }
-  }(&cluster, client, (*f)->id, &stop));
+  }(&cluster, m, (*f)->id, &stop));
 
   cluster.sched().RunFor(4 * kSec);  // warm-up: a few clean windows
   const SimTime injected_at = cluster.sched().Now();

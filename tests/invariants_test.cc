@@ -116,7 +116,7 @@ class ExtentInvariants : public ::testing::Test {
   void Fill() {
     sim::Spawn([](storage::ExtentStore* store) -> sim::Task<void> {
       storage::ExtentId id = store->CreateExtent();
-      (void)co_await store->Append(id, 0, std::string(4096, 'x'));
+      (void)co_await store->PlaceAt(id, 0, std::string(4096, 'x'));
       (void)co_await store->WriteSmall(std::string(100, 's'));
     }(store_.get()));
     sched_.Run();
@@ -286,6 +286,7 @@ class ClusterInvariants : public ::testing::Test {
     auto c = harness::RunTask(cluster_->sched(), cluster_->MountClient("v"));
     ASSERT_TRUE(c->ok());
     client_ = **c;
+    m_ = client_->default_mount();
   }
 
   template <typename T>
@@ -297,17 +298,18 @@ class ClusterInvariants : public ::testing::Test {
 
   std::unique_ptr<harness::Cluster> cluster_;
   client::Client* client_ = nullptr;
+  client::MountContext* m_ = nullptr;  // client_->default_mount()
 };
 
 TEST_F(ClusterInvariants, HealthyClusterWithTrafficPasses) {
   Boot();
   for (int i = 0; i < 10; i++) {
-    auto f = Run(client_->Create(kRootInode, "f" + std::to_string(i),
-                                 meta::FileType::kFile));
+    auto f = Run(m_->Create(kRootInode, "f" + std::to_string(i),
+                            meta::FileType::kFile));
     ASSERT_TRUE(f.ok());
-    ASSERT_TRUE(Run(client_->Open(f->id)).ok());
-    ASSERT_TRUE(Run(client_->Write(f->id, 0, std::string(32 * kKiB, 'd'))).ok());
-    ASSERT_TRUE(Run(client_->Close(f->id)).ok());
+    ASSERT_TRUE(Run(m_->Open(f->id)).ok());
+    ASSERT_TRUE(Run(m_->Write(f->id, 0, std::string(32 * kKiB, 'd'))).ok());
+    ASSERT_TRUE(Run(m_->Close(f->id)).ok());
   }
   cluster_->sched().RunFor(2 * kSec);
   InvariantReport report = cluster_->CheckInvariants();
@@ -339,11 +341,11 @@ TEST_F(ClusterInvariants, DanglingDentryFires) {
 
 TEST_F(ClusterInvariants, CommittedOffsetBeyondReplicasFires) {
   Boot();
-  auto f = Run(client_->Create(kRootInode, "big.bin", meta::FileType::kFile));
+  auto f = Run(m_->Create(kRootInode, "big.bin", meta::FileType::kFile));
   ASSERT_TRUE(f.ok());
-  ASSERT_TRUE(Run(client_->Open(f->id)).ok());
-  ASSERT_TRUE(Run(client_->Write(f->id, 0, std::string(256 * kKiB, 'w'))).ok());
-  ASSERT_TRUE(Run(client_->Close(f->id)).ok());
+  ASSERT_TRUE(Run(m_->Open(f->id)).ok());
+  ASSERT_TRUE(Run(m_->Write(f->id, 0, std::string(256 * kKiB, 'w'))).ok());
+  ASSERT_TRUE(Run(m_->Close(f->id)).ok());
   cluster_->sched().RunFor(1 * kSec);
   ASSERT_TRUE(cluster_->CheckInvariants().ok());
 

@@ -217,6 +217,7 @@ TEST(MultiMount, LifecycleAndInvariants) {
   // Unmount one volume: its context is retired (ops fail fast), the other
   // keeps working, and the refresh loop stops at its next wakeup.
   ASSERT_TRUE(c->Unmount("alpha").ok());
+  EXPECT_EQ(c->default_mount(), mb);  // handed to the next live mount
   auto dead = harness::RunTask(cluster.sched(),
                                ma->Create(meta::kRootInode, "a2", meta::FileType::kFile));
   ASSERT_TRUE(dead.has_value());
@@ -227,12 +228,23 @@ TEST(MultiMount, LifecycleAndInvariants) {
   cluster.sched().RunFor(5 * kSec);  // refresh loops wind down without incident
   EXPECT_TRUE(cluster.CheckInvariants().ok());
 
-  // Remount: a fresh context under the same name serves traffic again; the
-  // retired pointer stays valid (detached-coroutine safety) but keeps failing.
-  auto re = harness::RunTask(cluster.sched(), c->Mount("alpha"));
-  ASSERT_TRUE(re.has_value() && re->ok());
-  client::MountContext* ma2 = c->mount("alpha");
-  ASSERT_NE(ma2, nullptr);
+  // Remount, twice at once: both mounts hand back the one fresh context
+  // under the name, which serves traffic again; the retired pointer stays
+  // valid (detached-coroutine safety) but keeps failing.
+  Result<client::MountContext*> re = Status::Unavailable("mount pending");
+  Result<client::MountContext*> re2 = Status::Unavailable("mount pending");
+  for (auto* out : {&re, &re2}) {
+    sim::Spawn([](client::Client* c, Result<client::MountContext*>* out) -> sim::Task<void> {
+      *out = co_await c->Mount("alpha");
+    }(c, out));
+  }
+  cluster.sched().RunFor(1 * kSec);
+  ASSERT_TRUE(re.ok() && re2.ok());
+  client::MountContext* ma2 = *re;
+  EXPECT_EQ(*re2, ma2);
+  EXPECT_EQ(c->mount("alpha"), ma2);
+  EXPECT_NE(ma2, ma);
+  EXPECT_EQ(c->default_mount(), mb);  // a remount does not take it back
   auto fresh = harness::RunTask(cluster.sched(),
                                 ma2->Create(meta::kRootInode, "a3", meta::FileType::kFile));
   ASSERT_TRUE(fresh.has_value() && fresh->ok());
@@ -243,6 +255,7 @@ TEST(MultiMount, LifecycleAndInvariants) {
 
   // Full teardown through the harness: every mount retires.
   cluster.UnmountClient(c);
+  EXPECT_EQ(c->default_mount(), nullptr);
   auto gone = harness::RunTask(cluster.sched(),
                                mb->Create(meta::kRootInode, "b3", meta::FileType::kFile));
   ASSERT_TRUE(gone.has_value());

@@ -13,6 +13,7 @@ namespace cfs::harness {
 namespace {
 
 using client::Client;
+using client::MountContext;
 using meta::FileType;
 using meta::kRootInode;
 
@@ -73,18 +74,17 @@ TEST(RpcDeterminism, RetriesWithJitterReplayIdentically) {
     ASSERT_TRUE(st && st->ok());
     auto c = RunTask(cluster.sched(), cluster.MountClient("v"));
     ASSERT_TRUE(c && c->ok());
-    Client* client = **c;
+    MountContext* m = (**c)->default_mount();
     // 5% loss makes the retry/backoff machinery fire; the seeded jitter must
     // fold into the same trace hash on both runs.
     cluster.net().SetDropProbability(0.05);
     for (int i = 0; i < 12; i++) {
       auto f = RunTask(cluster.sched(),
-                       client->Create(kRootInode, "f" + std::to_string(i),
-                                      FileType::kFile));
+                       m->Create(kRootInode, "f" + std::to_string(i), FileType::kFile));
       if (!f || !f->ok()) continue;
-      if (!RunTask(cluster.sched(), client->Open((*f)->id))->ok()) continue;
+      if (!RunTask(cluster.sched(), m->Open((*f)->id))->ok()) continue;
       (void)RunTask(cluster.sched(),
-                    client->Write((*f)->id, 0, std::string(32 * kKiB, 'j')));
+                    m->Write((*f)->id, 0, std::string(32 * kKiB, 'j')));
     }
     cluster.sched().RunFor(2 * kSec);
   };
@@ -106,11 +106,12 @@ TEST(Deadline, BoundsNestedWriteWorkflowUnderTotalLoss) {
   auto c = RunTask(cluster.sched(), cluster.MountClient("v"));
   ASSERT_TRUE(c->ok());
   Client* client = **c;
+  MountContext* m = client->default_mount();
 
   auto f = RunTask(cluster.sched(),
-                   client->Create(kRootInode, "bounded", FileType::kFile));
+                   m->Create(kRootInode, "bounded", FileType::kFile));
   ASSERT_TRUE(f->ok());
-  ASSERT_TRUE(RunTask(cluster.sched(), client->Open((*f)->id))->ok());
+  ASSERT_TRUE(RunTask(cluster.sched(), m->Open((*f)->id))->ok());
 
   // Total loss: without a propagated deadline the write would burn the full
   // attempt budget of every nested stage (extent alloc, chain send, meta
@@ -118,7 +119,7 @@ TEST(Deadline, BoundsNestedWriteWorkflowUnderTotalLoss) {
   cluster.net().SetDropProbability(1.0);
   SimTime start = cluster.sched().Now();
   auto st = RunTask(cluster.sched(),
-                    client->Write((*f)->id, 0, std::string(64 * kKiB, 'd')));
+                    m->Write((*f)->id, 0, std::string(64 * kKiB, 'd')));
   ASSERT_TRUE(st.has_value()) << "write hung";
   EXPECT_FALSE(st->ok());
   SimDuration elapsed = cluster.sched().Now() - start;
@@ -132,7 +133,7 @@ TEST(Deadline, BoundsNestedWriteWorkflowUnderTotalLoss) {
   // which records the deadline-exceeded call outcome.
   start = cluster.sched().Now();
   auto cr = RunTask(cluster.sched(),
-                    client->Create(kRootInode, "late", FileType::kFile));
+                    m->Create(kRootInode, "late", FileType::kFile));
   ASSERT_TRUE(cr.has_value()) << "create hung";
   EXPECT_FALSE(cr->ok());
   EXPECT_LE(cluster.sched().Now() - start, 2500 * kMsec);
@@ -156,10 +157,10 @@ TEST(Router, MetaLeaderCrashInvalidatesCacheOnceThenRedirects) {
   ASSERT_TRUE(RunTask(cluster.sched(), cluster.CreateVolume("v", 3, 8))->ok());
   auto c = RunTask(cluster.sched(), cluster.MountClient("v"));
   ASSERT_TRUE(c->ok());
-  Client* client = **c;
+  MountContext* m = (**c)->default_mount();
 
   // Warm the root partition's leader cache with one successful call.
-  ASSERT_TRUE(RunTask(cluster.sched(), client->GetInode(kRootInode))->ok());
+  ASSERT_TRUE(RunTask(cluster.sched(), m->GetInode(kRootInode))->ok());
 
   // Find the meta partition owning the root inode and the node running its
   // raft leader.
@@ -199,20 +200,20 @@ TEST(Router, MetaLeaderCrashInvalidatesCacheOnceThenRedirects) {
   }));
   cluster.sched().RunFor(500 * kMsec);
 
-  const rpc::RouterStats before = client->router_stats();
+  const rpc::RouterStats before = m->router_stats();
 
   // The next call's first leg hits the dead cached leader: exactly one cache
   // invalidation, then one probe lands on a live replica which either IS the
   // new leader or redirects to it.
-  auto g = RunTask(cluster.sched(), client->GetInode(kRootInode), 200'000'000);
+  auto g = RunTask(cluster.sched(), m->GetInode(kRootInode), 200'000'000);
   ASSERT_TRUE(g.has_value() && g->ok()) << "op did not survive leader crash";
-  const rpc::RouterStats after = client->router_stats();
+  const rpc::RouterStats after = m->router_stats();
   EXPECT_EQ(after.invalidations, before.invalidations + 1);
   EXPECT_GE(after.leader_probes, before.leader_probes + 1);
 
   // The repointed cache serves the follow-up call with no extra probing.
-  ASSERT_TRUE(RunTask(cluster.sched(), client->GetInode(kRootInode))->ok());
-  const rpc::RouterStats again = client->router_stats();
+  ASSERT_TRUE(RunTask(cluster.sched(), m->GetInode(kRootInode))->ok());
+  const rpc::RouterStats again = m->router_stats();
   EXPECT_EQ(again.invalidations, after.invalidations);
   EXPECT_EQ(again.leader_cache_hits, after.leader_cache_hits + 1);
   EXPECT_EQ(again.leader_probes, after.leader_probes);

@@ -31,7 +31,7 @@
 namespace cfs::harness {
 namespace {
 
-using client::Client;
+using client::MountContext;
 using meta::FileType;
 using meta::kRootInode;
 
@@ -43,33 +43,33 @@ ClusterOptions Opts(uint64_t seed) {
   return opts;
 }
 
-Client* BootAndMount(Cluster& cluster) {
+MountContext* BootAndMount(Cluster& cluster) {
   auto st = RunTask(cluster.sched(), cluster.Start());
   if (!st || !st->ok()) return nullptr;
   st = RunTask(cluster.sched(), cluster.CreateVolume("v", 3, 8));
   if (!st || !st->ok()) return nullptr;
   auto c = RunTask(cluster.sched(), cluster.MountClient("v"));
   if (!c || !c->ok()) return nullptr;
-  return **c;
+  return (**c)->default_mount();
 }
 
 /// Mixed metadata + data workload: creates, opens, multi-packet writes
 /// (exercises the chain-replication path end to end), reads, readdir.
 uint64_t WorkloadScenario() {
   Cluster cluster(Opts(11));
-  Client* client = BootAndMount(cluster);
-  if (client == nullptr) return 0;
+  MountContext* m = BootAndMount(cluster);
+  if (m == nullptr) return 0;
   for (int i = 0; i < 6; i++) {
     auto f = RunTask(cluster.sched(),
-                     client->Create(kRootInode, "f" + std::to_string(i), FileType::kFile));
+                     m->Create(kRootInode, "f" + std::to_string(i), FileType::kFile));
     if (!f || !f->ok()) return 0;
-    (void)RunTask(cluster.sched(), client->Open((*f)->id));
+    (void)RunTask(cluster.sched(), m->Open((*f)->id));
     (void)RunTask(cluster.sched(),
-                  client->Write((*f)->id, 0, std::string(192 * kKiB, 'd')));
-    (void)RunTask(cluster.sched(), client->Read((*f)->id, 0, 64 * kKiB));
-    (void)RunTask(cluster.sched(), client->Close((*f)->id));
+                  m->Write((*f)->id, 0, std::string(192 * kKiB, 'd')));
+    (void)RunTask(cluster.sched(), m->Read((*f)->id, 0, 64 * kKiB));
+    (void)RunTask(cluster.sched(), m->Close((*f)->id));
   }
-  (void)RunTask(cluster.sched(), client->ReadDir(kRootInode));
+  (void)RunTask(cluster.sched(), m->ReadDir(kRootInode));
   cluster.sched().RunFor(2 * kSec);
   return cluster.sched().trace_hash();
 }
@@ -78,21 +78,21 @@ uint64_t WorkloadScenario() {
 /// paths most sensitive to timer and log-entry handling.
 uint64_t CrashRestartScenario() {
   Cluster cluster(Opts(23));
-  Client* client = BootAndMount(cluster);
-  if (client == nullptr) return 0;
+  MountContext* m = BootAndMount(cluster);
+  if (m == nullptr) return 0;
   auto f = RunTask(cluster.sched(),
-                   client->Create(kRootInode, "crashy.bin", FileType::kFile));
+                   m->Create(kRootInode, "crashy.bin", FileType::kFile));
   if (!f || !f->ok()) return 0;
-  (void)RunTask(cluster.sched(), client->Open((*f)->id));
+  (void)RunTask(cluster.sched(), m->Open((*f)->id));
   (void)RunTask(cluster.sched(),
-                client->Write((*f)->id, 0, std::string(128 * kKiB, 'a')));
+                m->Write((*f)->id, 0, std::string(128 * kKiB, 'a')));
   cluster.CrashNode(2);
   cluster.sched().RunFor(2 * kSec);
   (void)RunTask(cluster.sched(),
-                client->Write((*f)->id, 128 * kKiB, std::string(64 * kKiB, 'b')));
+                m->Write((*f)->id, 128 * kKiB, std::string(64 * kKiB, 'b')));
   (void)RunTaskVoid(cluster.sched(), cluster.RestartNode(2));
   cluster.sched().RunFor(3 * kSec);
-  (void)RunTask(cluster.sched(), client->Read((*f)->id, 0, 192 * kKiB));
+  (void)RunTask(cluster.sched(), m->Read((*f)->id, 0, 192 * kKiB));
   return cluster.sched().trace_hash();
 }
 
@@ -104,12 +104,12 @@ uint64_t CrashRestartScenario() {
 /// events that remain.
 uint64_t MessageLossScenario() {
   Cluster cluster(Opts(37));
-  Client* client = BootAndMount(cluster);
-  if (client == nullptr) return 0;
+  MountContext* m = BootAndMount(cluster);
+  if (m == nullptr) return 0;
   cluster.net().SetDropProbability(0.05);
   for (int i = 0; i < 8; i++) {
     (void)RunTask(cluster.sched(),
-                  client->Create(kRootInode, "lossy" + std::to_string(i), FileType::kFile));
+                  m->Create(kRootInode, "lossy" + std::to_string(i), FileType::kFile));
   }
   cluster.net().SetDropProbability(0);
   cluster.sched().RunFor(2 * kSec);

@@ -23,7 +23,7 @@ class VfsFixture : public ::testing::Test {
     ASSERT_TRUE(RunTask(cluster_->sched(), cluster_->CreateVolume("vol", 3, 6))->ok());
     auto c = RunTask(cluster_->sched(), cluster_->MountClient("vol"));
     ASSERT_TRUE(c->ok());
-    fs_ = std::make_unique<FileSystem>(**c);
+    fs_ = std::make_unique<FileSystem>((**c)->default_mount());
   }
 
   template <typename T>

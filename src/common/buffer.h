@@ -21,6 +21,8 @@
 //     packet pins its writer's storage until the extent drops the piece
 //     (overwrite, punch, delete or a flatten; DESIGN.md "Shared immutable
 //     payloads"). Tracking mode is what tests, the examples and cfsbench run.
+//     An overwrite's raft log entry carries its bytes the same way, so the
+//     log pins the writer's storage until the entry is compacted away.
 #pragma once
 
 #include <algorithm>
@@ -29,6 +31,7 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "common/crc32.h"
 #include "common/flat_map.h"
@@ -87,17 +90,31 @@ class Buffer {
     if (!owner_) return Crc32c(data_, size_);
     const CrcMemoKey key{static_cast<size_t>(data_ - owner_->bytes.data()), size_};
     auto& memo = owner_->crc_memo;
-    auto it = memo.find(key);
-    if (it != memo.end()) return it->second;
+    auto it = memo.lower_bound(key);
+    if (it != memo.end() && it->first == key) return it->second;
     uint32_t c = Crc32c(data_, size_);
     if (memo.size() < std::max(kMinCrcMemo, owner_->bytes.size() / kCrcMemoBytesPerEntry)) {
       memo.emplace(key, c);
+    } else {
+      // Full: the new view takes the slot at its insertion point (the last
+      // one past the end). Its neighbours still bracket it, so the memo stays
+      // sorted and bounded, nothing moves, and the choice is deterministic.
+      if (it == memo.end()) --it;
+      *it = {key, c};
     }
     return c;
   }
 
   /// Distinct views of this buffer's storage whose CRC is memoized.
   size_t CrcMemoSize() const { return owner_ ? owner_->crc_memo.size() : 0; }
+  /// Those views as (offset in storage, length), in memo order (tests).
+  std::vector<std::pair<size_t, size_t>> CrcMemoKeys() const {
+    std::vector<std::pair<size_t, size_t>> keys;
+    if (owner_) {
+      for (const auto& [key, crc] : owner_->crc_memo) keys.push_back(key);
+    }
+    return keys;
+  }
 
   friend bool operator==(const Buffer& a, const Buffer& b) { return a.view() == b.view(); }
   friend bool operator==(const Buffer& a, std::string_view b) { return a.view() == b; }
@@ -110,8 +127,9 @@ class Buffer {
     /// One entry per distinct view that was checksummed: a single large
     /// writer buffer (a client's pool of payloads) is sliced into one view
     /// per packet, so the bound scales with the storage's bytes — one entry
-    /// per 4 KiB, never fewer than 64. Past it, new views are computed but
-    /// not recorded.
+    /// per 4 KiB, never fewer than 64. Past it, a new view replaces an
+    /// existing entry: the replicas checksumming one packet ask back to
+    /// back, so the newest views are the ones worth keeping.
     mutable FlatMap<CrcMemoKey, uint32_t> crc_memo;
   };
   static constexpr size_t kMinCrcMemo = 64;

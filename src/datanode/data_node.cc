@@ -346,9 +346,13 @@ void DataNode::RegisterHandlers() {
         if (req.offset + req.data.size() > e->size) {
           co_return OverwriteResp{Status::InvalidArgument("overwrite beyond extent end")};
         }
-        auto idx = co_await rn->ProposeIndexed(
-            DataPartition::EncodeOverwrite(req.extent_id, req.offset, req.data.view()),
-            req.trace);
+        // The header is the command and the client's bytes ride by reference
+        // as the payload. Encode it first: argument evaluation order is
+        // unspecified, and req.data is moved into the call.
+        std::string header =
+            DataPartition::EncodeOverwriteHeader(req.extent_id, req.offset, req.data.size());
+        auto idx = co_await rn->ProposeIndexed(std::move(header), req.trace,
+                                               std::move(req.data));
         if (!idx.ok()) co_return OverwriteResp{idx.status()};
         auto st = p->TakeResult(*idx);
         co_return OverwriteResp{st.value_or(Status::OK())};

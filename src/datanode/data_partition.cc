@@ -82,13 +82,13 @@ void DataPartition::TryDrainPending(storage::ExtentId extent) {
 
 // --- Raft command encoding ---------------------------------------------------
 
-std::string DataPartition::EncodeOverwrite(storage::ExtentId id, uint64_t offset,
-                                           std::string_view data) {
+std::string DataPartition::EncodeOverwriteHeader(storage::ExtentId id, uint64_t offset,
+                                                 uint64_t len) {
   Encoder enc;
   enc.PutU8(static_cast<uint8_t>(DataOp::kOverwrite));
   enc.PutVarint(id);
   enc.PutVarint(offset);
-  enc.PutString(data);
+  enc.PutVarint(len);
   return enc.Take();
 }
 
@@ -109,25 +109,28 @@ std::string DataPartition::EncodePunchHole(storage::ExtentId id, uint64_t offset
   return enc.Take();
 }
 
-void DataPartition::Apply(raft::Index index, const Buffer& cmd) {
+void DataPartition::Apply(const raft::LogEntry& entry) {
+  const Buffer& cmd = entry.data;
   Decoder dec(cmd.view());
   uint8_t op = 0;
   Status st = dec.GetU8(&op);
   if (st.ok()) {
     switch (static_cast<DataOp>(op)) {
       case DataOp::kOverwrite: {
-        uint64_t id, offset;
-        // A slice of the entry, not a copy: overwrites are the raft hot
-        // path, and every replica applying this entry shares the slice's
-        // CRC memo, so the payload is checksummed once per op.
-        std::string_view data;
+        uint64_t id, offset, len;
         st = dec.GetVarint(&id);
         if (st.ok()) st = dec.GetVarint(&offset);
-        if (st.ok()) st = dec.GetStringView(&data);
-        if (st.ok()) {
-          st = store_->OverwriteSync(id, offset,
-                                     cmd.Slice(data.data() - cmd.data(), data.size()));
-        }
+        if (st.ok()) st = dec.GetVarint(&len);
+        if (!st.ok()) break;
+        // The bytes, by reference, not a copy: the client's buffer as
+        // proposed, or the tail of an entry reloaded from the WAL. Every
+        // replica applying this entry shares one view and its CRC memo, so
+        // the bytes are checksummed once per op.
+        Buffer bytes = entry.payload.empty()
+                           ? cmd.Slice(cmd.size() - dec.remaining(), dec.remaining())
+                           : entry.payload;
+        st = bytes.size() == len ? store_->OverwriteSync(id, offset, bytes)
+                                 : Status::Corruption("overwrite length mismatch");
         break;
       }
       case DataOp::kDeleteExtent: {
@@ -152,7 +155,7 @@ void DataPartition::Apply(raft::Index index, const Buffer& cmd) {
         st = Status::Corruption("unknown data op");
     }
   }
-  results_.emplace(index, std::move(st));
+  results_.emplace(entry.index, std::move(st));
   while (results_.size() > kMaxResults) results_.erase(results_.begin());
 }
 

@@ -96,7 +96,7 @@ class DataPartition : public raft::StateMachine {
                                      obs::TraceContext trace = {});
 
   // --- Raft state machine (overwrite/purge path) ---
-  void Apply(raft::Index index, const Buffer& cmd) override;
+  void Apply(const raft::LogEntry& entry) override;
   /// Extent contents are NOT snapshotted through raft (they are recovered by
   /// the primary-backup alignment phase first, §2.2.5); the snapshot is a
   /// marker carrying only the allocation high-water mark.
@@ -105,8 +105,11 @@ class DataPartition : public raft::StateMachine {
 
   std::optional<Status> TakeResult(raft::Index index);
 
-  static std::string EncodeOverwrite(storage::ExtentId id, uint64_t offset,
-                                     std::string_view data);
+  /// The overwrite command's header: op, extent, offset and the length of
+  /// the bytes that follow. Propose those bytes as the entry's payload; the
+  /// WAL stores header and bytes as one record.
+  static std::string EncodeOverwriteHeader(storage::ExtentId id, uint64_t offset,
+                                           uint64_t len);
   static std::string EncodeDeleteExtent(storage::ExtentId id);
   static std::string EncodePunchHole(storage::ExtentId id, uint64_t offset, uint64_t len);
 

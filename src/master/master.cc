@@ -104,8 +104,8 @@ void MasterState::Persist(const char* kind, uint64_t id, std::string value) {
   }(kv_, std::move(key), std::move(value)));
 }
 
-void MasterState::Apply(raft::Index index, const Buffer& data) {
-  Decoder dec(data.view());
+void MasterState::Apply(const raft::LogEntry& entry) {
+  Decoder dec(entry.data.view());
   uint8_t op = 0;
   ApplyOutcome out;
   Status st = dec.GetU8(&op);
@@ -252,7 +252,7 @@ void MasterState::Apply(raft::Index index, const Buffer& data) {
         out.status = Status::Corruption("unknown master op");
     }
   }
-  results_.emplace(index, std::move(out));
+  results_.emplace(entry.index, std::move(out));
   while (results_.size() > kMaxResults) results_.erase(results_.begin());
 }
 

@@ -113,7 +113,7 @@ class MasterState : public raft::StateMachine {
   explicit MasterState(kv::KvStore* kv) : kv_(kv) {}
 
   // raft::StateMachine
-  void Apply(raft::Index index, const Buffer& data) override;
+  void Apply(const raft::LogEntry& entry) override;
   std::string TakeSnapshot() override;
   void Restore(std::string_view snapshot) override;
 

@@ -111,8 +111,8 @@ std::string MetaPartition::EncodeSetEnd(InodeId end) {
 
 // --- Apply -----------------------------------------------------------------
 
-void MetaPartition::Apply(raft::Index index, const Buffer& data) {
-  Decoder dec(data.view());
+void MetaPartition::Apply(const raft::LogEntry& entry) {
+  Decoder dec(entry.data.view());
   uint8_t op = 0;
   ApplyResult res;
   if (!dec.GetU8(&op).ok()) {
@@ -132,7 +132,7 @@ void MetaPartition::Apply(raft::Index index, const Buffer& data) {
       default: res.status = Status::Corruption("unknown meta op"); break;
     }
   }
-  results_.emplace(index, std::move(res));
+  results_.emplace(entry.index, std::move(res));
   while (results_.size() > kMaxResults) results_.erase(results_.begin());
 }
 

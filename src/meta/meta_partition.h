@@ -82,7 +82,7 @@ class MetaPartition : public raft::StateMachine {
   static std::string EncodeSetEnd(InodeId end);
 
   // --- raft::StateMachine ---
-  void Apply(raft::Index index, const Buffer& data) override;
+  void Apply(const raft::LogEntry& entry) override;
   std::string TakeSnapshot() override;
   void Restore(std::string_view snapshot) override;
 

@@ -1,5 +1,6 @@
 #include "raft/invariants.h"
 
+#include <algorithm>
 #include <map>
 #include <sstream>
 #include <string>
@@ -26,6 +27,26 @@ Term TermAt(const ReplicaSnapshot& r, Index index) {
 const LogEntry* EntryAt(const ReplicaSnapshot& r, Index index) {
   if (index < r.first_index || index >= r.first_index + r.entries.size()) return nullptr;
   return &r.entries[index - r.first_index];
+}
+
+/// Whether two entries carry the same command bytes (`data` then
+/// `payload`), however each splits them: a replica that reloaded its log
+/// from the WAL holds contiguous entries where the leader holds split ones.
+bool SameCommand(const LogEntry& a, const LogEntry& b) {
+  const size_t n = a.CommandBytes();
+  if (n != b.CommandBytes()) return false;
+  // Cut at both entries' split points: no segment straddles either one.
+  auto part = [](const LogEntry& e, size_t off, size_t len) {
+    return off < e.data.size() ? e.data.view().substr(off, len)
+                               : e.payload.view().substr(off - e.data.size(), len);
+  };
+  const size_t cuts[] = {0, std::min(a.data.size(), b.data.size()),
+                         std::max(a.data.size(), b.data.size()), n};
+  for (int k = 0; k < 3; k++) {
+    size_t len = cuts[k + 1] - cuts[k];
+    if (len > 0 && part(a, cuts[k], len) != part(b, cuts[k], len)) return false;
+  }
+  return true;
 }
 
 Index LastIndex(const ReplicaSnapshot& r) {
@@ -116,7 +137,7 @@ void CheckRaftGroup(const std::vector<ReplicaSnapshot>& replicas, InvariantRepor
         const LogEntry* ex = EntryAt(x, i);
         const LogEntry* ey = EntryAt(y, i);
         if (!ex || !ey) continue;
-        if (ex->term == ey->term && ex->data != ey->data) {
+        if (ex->term == ey->term && !SameCommand(*ex, *ey)) {
           report->Violation("raft", Where(label, x.node) + " and node " +
                                         std::to_string(y.node) +
                                         " disagree on data at index " + std::to_string(i) +

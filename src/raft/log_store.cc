@@ -25,22 +25,25 @@ constexpr size_t kCopyPayloadBytes = 64;
 
 template <typename Entries>
 size_t LogStore::PersistEntries(const Entries& entries) {
-  // WAL record: fixed term and index, varint payload length, payload.
-  // Headers and small payloads are copied in runs, one append per run.
+  // WAL record: fixed term and index, varint command length, command
+  // (`data` then `payload`, one record either way). Headers and small parts
+  // are copied in runs, one append per run.
   Encoder run;
   size_t bytes = 0;
   for (const LogEntry& e : entries) {
     run.PutU64(e.term);
     run.PutU64(e.index);
-    run.PutVarint(e.data.size());
-    if (e.data.size() <= kCopyPayloadBytes) {
-      run.PutBytes(e.data.data(), e.data.size());
-      continue;
+    run.PutVarint(e.CommandBytes());
+    for (const Buffer* part : {&e.data, &e.payload}) {
+      if (part->size() <= kCopyPayloadBytes) {
+        run.PutBytes(part->data(), part->size());
+        continue;
+      }
+      storage_->Append(key_log_, run.data());
+      storage_->Append(key_log_, *part);
+      bytes += run.size() + part->size();
+      run.Clear();
     }
-    storage_->Append(key_log_, run.data());
-    storage_->Append(key_log_, e.data);
-    bytes += run.size() + e.data.size();
-    run.Clear();
   }
   storage_->Append(key_log_, run.data());
   return bytes + run.size();

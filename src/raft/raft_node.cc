@@ -83,7 +83,7 @@ void RaftNode::FailPendingProposals(const Status& status) {
 }
 
 void RaftNode::FailQueuedProposals(const Status& status) {
-  for (auto& [cmd, w] : propose_queue_) w->done.Set(status);
+  for (auto& [e, w] : propose_queue_) w->done.Set(status);
   propose_queue_.clear();
 }
 
@@ -202,7 +202,8 @@ Task<Status> RaftNode::Propose(std::string cmd, obs::TraceContext trace) {
   co_return r.status();
 }
 
-Task<Result<Index>> RaftNode::ProposeIndexed(std::string cmd, obs::TraceContext trace) {
+Task<Result<Index>> RaftNode::ProposeIndexed(std::string cmd, obs::TraceContext trace,
+                                             Buffer payload) {
   if (!host_->up() || !running_) co_return Status::Unavailable("node down");
   if (role_ != Role::kLeader) {
     co_return Status::NotLeader(std::to_string(leader_));
@@ -216,7 +217,8 @@ Task<Result<Index>> RaftNode::ProposeIndexed(std::string cmd, obs::TraceContext 
     tracer.Note(propose_span, "queue_depth", static_cast<int64_t>(propose_queue_.size()));
     w->trace = propose_span.ctx;
   }
-  propose_queue_.emplace_back(Buffer::FromString(std::move(cmd)), w);
+  propose_queue_.emplace_back(
+      LogEntry{0, 0, Buffer::FromString(std::move(cmd)), std::move(payload)}, w);
   gc_stats_.queue_high_watermark =
       std::max<uint64_t>(gc_stats_.queue_high_watermark, propose_queue_.size());
   // Spawn runs the batcher synchronously up to its first await (the log
@@ -261,18 +263,20 @@ Task<void> RaftNode::BatcherLoop(uint64_t gen) {
     std::vector<WaiterPtr> waiters;
     size_t bytes = 0;
     while (!propose_queue_.empty() && waiters.size() < cap) {
-      auto& [cmd, w] = propose_queue_.front();
+      auto& [e, w] = propose_queue_.front();
       if (w->cancelled) {
         propose_queue_.pop_front();
         continue;
       }
-      if (!entries.empty() && bytes + cmd.size() > opts_.max_batch_bytes) break;
+      if (!entries.empty() && bytes + e.CommandBytes() > opts_.max_batch_bytes) break;
       Index idx = log_.last_index() + entries.size() + 1;
-      bytes += cmd.size();
+      bytes += e.CommandBytes();
       w->index = idx;
       pending_.emplace(idx, std::make_pair(my_term, w));
       waiters.push_back(w);
-      entries.push_back(LogEntry{my_term, idx, std::move(cmd)});
+      e.term = my_term;
+      e.index = idx;
+      entries.push_back(std::move(e));
       propose_queue_.pop_front();
     }
     if (entries.empty()) continue;  // everything at the front was cancelled
@@ -447,9 +451,7 @@ Task<void> RaftNode::ApplyLoop(uint64_t gen) {
       }
       if (!log_.Has(idx)) break;  // should not happen; wait for entries
       const LogEntry& e = log_.At(idx);
-      if (!e.data.empty()) {
-        sm_->Apply(idx, e.data);
-      }
+      if (e.CommandBytes() > 0) sm_->Apply(e);
       applied_ = idx;
       obs::SpanRef apply_span;
       auto it = pending_.find(idx);

@@ -63,8 +63,11 @@ class RaftNode {
 
   /// Like Propose, but returns the log index the command committed at, so
   /// state machines can hand back per-command apply results (see
-  /// MetaPartition::TakeResult).
-  sim::Task<Result<Index>> ProposeIndexed(std::string cmd, obs::TraceContext trace = {});
+  /// MetaPartition::TakeResult). `payload` is bulk bytes that follow `cmd`,
+  /// carried by reference into the entry (LogEntry::payload) so the log and
+  /// every replica share the proposer's buffer instead of a copy.
+  sim::Task<Result<Index>> ProposeIndexed(std::string cmd, obs::TraceContext trace = {},
+                                          Buffer payload = {});
 
   // --- Observers ---
   GroupId gid() const { return gid_; }
@@ -157,10 +160,11 @@ class RaftNode {
   std::map<NodeId, Index> match_index_;
   std::map<NodeId, bool> pump_active_;
 
-  /// Leader-side group commit: commands awaiting a batch slot. Commands are
-  /// adopted into shared Buffers at Propose(), so the batcher, log store and
-  /// every replication leg share one allocation per command.
-  std::deque<std::pair<Buffer, WaiterPtr>> propose_queue_;
+  /// Leader-side group commit: entries awaiting a batch slot (term and
+  /// index are assigned by the batcher). Commands are adopted into shared
+  /// Buffers at Propose(), so the batcher, log store and every replication
+  /// leg share one allocation per command.
+  std::deque<std::pair<LogEntry, WaiterPtr>> propose_queue_;
   bool batcher_running_ = false;
   GroupCommitStats gc_stats_;
 

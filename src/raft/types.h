@@ -30,8 +30,15 @@ struct LogEntry {
   /// batch, a peer catch-up, a ReplicaSnapshot) bumps a refcount instead of
   /// duplicating the command bytes.
   Buffer data;
+  /// Bulk bytes that logically follow `data`, held by reference to the
+  /// proposer's buffer (an overwrite's client payload behind its header).
+  /// The WAL writes them inline, so an entry reloaded from it is contiguous
+  /// with an empty payload.
+  Buffer payload;
 
-  size_t WireBytes() const { return 24 + data.size(); }
+  /// The command's bytes: `data` followed by `payload`.
+  size_t CommandBytes() const { return data.size() + payload.size(); }
+  size_t WireBytes() const { return 24 + CommandBytes(); }
 };
 
 /// Deterministic state machine replicated by a raft group. Applied exactly
@@ -39,9 +46,9 @@ struct LogEntry {
 class StateMachine {
  public:
   virtual ~StateMachine() = default;
-  /// Apply a committed command. `data` is the log entry's shared payload:
-  /// slices of it keep the entry's storage (and its CRC memo) alive.
-  virtual void Apply(Index index, const Buffer& data) = 0;
+  /// Apply a committed entry. Its `data` and `payload` are shared: slices of
+  /// them keep the storage (and its CRC memo) alive.
+  virtual void Apply(const LogEntry& entry) = 0;
   /// Serialize the complete state (for snapshots / log compaction).
   virtual std::string TakeSnapshot() = 0;
   /// Replace the state from a snapshot.

@@ -203,6 +203,43 @@ TEST_F(CfsCluster, RandomOverwriteInPlace) {
   EXPECT_EQ(ino->size, content.size());
 }
 
+// An overwrite's bytes travel by reference from the client through the raft
+// entry into every replica's extent: each replica reads back a view of the
+// client's own buffer, and the three of them checksum it once between them.
+TEST_F(CfsCluster, OverwriteReplicasShareTheClientsBytes) {
+  Boot();
+  auto f = Run(m_->Create(kRootInode, "shared.bin", FileType::kFile));
+  ASSERT_TRUE(f.ok());
+  ASSERT_TRUE(Run(m_->Open(f->id)).ok());
+  ASSERT_TRUE(Run(m_->Write(f->id, 0, std::string(256 * kKiB, 'o'))).ok());
+  ASSERT_TRUE(Run(m_->Fsync(f->id)).ok());
+  auto ino = Run(m_->GetInode(f->id));
+  ASSERT_TRUE(ino.ok());
+  const uint64_t at = 100 * kKiB;
+  const Buffer patch = Buffer::Filled(4 * kKiB, 'P');
+  meta::ExtentKey key;
+  for (const meta::ExtentKey& k : ino->extents) {
+    if (k.file_offset <= at && at + patch.size() <= k.file_offset + k.size) key = k;
+  }
+  ASSERT_NE(key.extent_id, 0u);
+
+  const size_t memo_before = patch.CrcMemoSize();
+  ASSERT_TRUE(Run(m_->Write(f->id, at, patch)).ok());
+  cluster_->sched().RunFor(1 * kSec);  // every replica applies the entry
+  EXPECT_EQ(patch.CrcMemoSize(), memo_before + 1);
+  int replicas = 0;
+  for (int i = 0; i < cluster_->num_nodes(); i++) {
+    data::DataPartition* p = cluster_->data_node(i)->GetPartition(key.partition_id);
+    if (!p) continue;
+    replicas++;
+    const storage::Extent* e = p->store().Find(key.extent_id);
+    ASSERT_NE(e, nullptr) << "node " << i;
+    const Buffer got = e->data.Read(key.extent_offset + at - key.file_offset, patch.size());
+    EXPECT_EQ(got.data(), patch.data()) << "node " << i << " holds a copy";
+  }
+  EXPECT_EQ(replicas, 3);
+}
+
 TEST_F(CfsCluster, WriteStraddlingEofSplitsOverwriteAndAppend) {
   Boot();
   auto f = Run(m_->Create(kRootInode, "straddle.bin", FileType::kFile));

@@ -7,6 +7,7 @@
 #include "common/crc32.h"
 #include "common/rng.h"
 #include "common/status.h"
+#include "common/units.h"
 
 namespace cfs {
 namespace {
@@ -175,10 +176,37 @@ TEST(BufferCrcMemo, EverySliceOfAWriterPoolIsComputedOnce) {
     }
     EXPECT_EQ(pool.CrcMemoSize(), kSlices) << "replica " << replica;
   }
-  // At the bound, a further view is computed but not recorded.
+  // At the bound, a further view replaces an entry instead of growing it.
   const Buffer extra = pool.Slice(1, kLen);
   EXPECT_EQ(extra.Crc0(), Crc32c(extra.view()));
   EXPECT_EQ(pool.CrcMemoSize(), kSlices);
+}
+
+// Past the bound every new view is still recorded, in the slot at its
+// insertion point: the memo stays at max(64, bytes / 4 KiB) entries, its
+// keys stay sorted, and every CRC it returns is exact.
+TEST(BufferCrcMemo, PastTheBoundNewViewsReplaceAnEntry) {
+  constexpr size_t kBytes = 512 * kKiB, kBound = kBytes / (4 * kKiB);
+  std::string bytes(kBytes, '\0');
+  Rng rng(16);
+  for (char& c : bytes) c = static_cast<char>(rng.Next());
+  const Buffer pool = Buffer::FromString(std::move(bytes));
+  for (size_t i = 0; i < 4 * kBound; i++) {
+    const size_t off = rng.Uniform(kBytes);
+    const Buffer view = pool.Slice(off, 1 + rng.Uniform(std::min(kBytes - off, 8 * kKiB)));
+    EXPECT_EQ(view.Crc0(), Crc32c(view.view())) << "view " << i;
+    const auto keys = pool.CrcMemoKeys();
+    EXPECT_EQ(keys.size(), std::min(i + 1, kBound)) << "view " << i;
+    EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end())) << "view " << i;
+    EXPECT_TRUE(std::binary_search(keys.begin(), keys.end(),
+                                   std::make_pair(off, view.size())))
+        << "view " << i << " not recorded";
+  }
+  // Memo hits return what a byte pass computes.
+  for (const auto& [off, len] : pool.CrcMemoKeys()) {
+    const Buffer view = pool.Slice(off, len);
+    EXPECT_EQ(view.Crc0(), Crc32c(view.view())) << "memoized view at " << off;
+  }
 }
 
 TEST(BufferCrcMemo, SmallStorageKeepsSixtyFourEntries) {

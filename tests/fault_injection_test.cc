@@ -230,6 +230,83 @@ TEST_F(FaultFixture, RollingCrashesOfAllStorageNodes) {
   }
 }
 
+// A follower that crashes after split overwrites (a header plus the client's
+// bytes by reference) reloads them from its WAL as contiguous entries. They
+// apply again, the replicas' extent CRCs agree, and the log-matching check
+// treats the leader's split entries and the follower's contiguous ones as
+// the same commands.
+TEST_F(FaultFixture, FollowerReappliesSplitOverwritesFromItsWal) {
+  Boot();
+  auto f = Run(m_->Create(kRootInode, "ow.bin", FileType::kFile));
+  ASSERT_TRUE(f.ok());
+  ASSERT_TRUE(Run(m_->Open(f->id)).ok());
+  const std::string original(256 * kKiB, 'b');
+  std::string expect = original;
+  ASSERT_TRUE(Run(m_->Write(f->id, 0, original)).ok());
+  ASSERT_TRUE(Run(m_->Fsync(f->id)).ok());
+  auto ino = Run(m_->GetInode(f->id));
+  ASSERT_TRUE(ino.ok());
+  ASSERT_EQ(ino->extents.size(), 1u);
+  const meta::ExtentKey key = ino->extents[0];
+  auto overwrite = [&](int k) {
+    std::string patch(4 * kKiB, static_cast<char>('A' + k % 26));
+    const uint64_t at = (k * 37 % 63) * 4 * kKiB;
+    ASSERT_TRUE(Run(m_->Write(f->id, at, patch)).ok());
+    expect.replace(at, patch.size(), patch);
+  };
+  for (int k = 0; k < 16; k++) overwrite(k);
+  cluster_->sched().RunFor(1 * kSec);
+
+  data::DataPartition* leader = nullptr;
+  int victim = -1;
+  for (int i = 0; i < cluster_->num_nodes(); i++) {
+    data::DataPartition* p = cluster_->data_node(i)->GetPartition(key.partition_id);
+    if (!p) continue;
+    if (p->raft_node()->IsLeader()) {
+      leader = p;
+    } else {
+      victim = i;
+    }
+  }
+  ASSERT_NE(leader, nullptr);
+  ASSERT_GE(victim, 0);
+  const raft::Index written = leader->raft_node()->last_log_index();
+
+  data::DataPartition* follower = cluster_->data_node(victim)->GetPartition(key.partition_id);
+  cluster_->CrashNode(victim);
+  // The crash loses the follower's in-place writes: only its WAL has them.
+  ASSERT_TRUE(follower->store()
+                  .OverwriteSync(key.extent_id, key.extent_offset, Buffer::CopyOf(original))
+                  .ok());
+  cluster_->sched().RunFor(1 * kSec);
+  ASSERT_TRUE(RunTaskVoid(cluster_->sched(), cluster_->RestartNode(victim)));
+  for (int k = 16; k < 20; k++) overwrite(k);  // these arrive split
+  cluster_->sched().RunFor(2 * kSec);
+
+  const raft::RaftNode* rn = follower->raft_node();
+  EXPECT_EQ(rn->applied_index(), leader->raft_node()->applied_index());
+  EXPECT_GT(rn->applied_index(), written);
+  size_t reloaded = 0;
+  for (raft::Index i = rn->log().first_index(); i <= written; i++) {
+    const raft::LogEntry& e = rn->log().At(i);
+    EXPECT_TRUE(e.payload.empty()) << "index " << i;
+    if (e.data.size() > 4 * kKiB) reloaded++;  // header + inline bytes
+  }
+  EXPECT_EQ(reloaded, 16u);
+
+  const storage::Extent* mine = follower->store().Find(key.extent_id);
+  const storage::Extent* theirs = leader->store().Find(key.extent_id);
+  ASSERT_NE(mine, nullptr);
+  ASSERT_NE(theirs, nullptr);
+  EXPECT_EQ(mine->crc, theirs->crc);
+  EXPECT_EQ(mine->crc, mine->data.Crc());
+  EXPECT_EQ(mine->data.Read(key.extent_offset, expect.size()), expect);
+  ExpectInvariantsHold("after the follower reloads its WAL");
+  auto read = Run(m_->Read(f->id, 0, expect.size()));
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, expect);
+}
+
 TEST_F(FaultFixture, MetaPartitionRecoversFromSnapshotAfterChurn) {
   ClusterOptions opts;
   opts.num_nodes = 5;

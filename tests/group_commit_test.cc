@@ -22,8 +22,8 @@ using sim::Task;
 /// Test state machine: an append-only list of applied commands.
 class ListSm : public StateMachine {
  public:
-  void Apply(Index index, const Buffer& data) override {
-    applied.emplace_back(index, data.ToString());
+  void Apply(const LogEntry& e) override {
+    applied.emplace_back(e.index, e.data.ToString() + e.payload.ToString());
   }
   std::string TakeSnapshot() override {
     Encoder enc;

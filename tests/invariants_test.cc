@@ -71,6 +71,45 @@ TEST(RaftInvariants, LogMatchingViolationFires) {
       << report.ToString();
 }
 
+/// `r` with its entry at `index` split after `cut` bytes into data and
+/// payload, the way an overwrite is proposed.
+raft::ReplicaSnapshot Split(raft::ReplicaSnapshot r, raft::Index index, size_t cut) {
+  raft::LogEntry& e = r.entries[index - r.first_index];
+  const Buffer command = e.data;
+  e.data = command.Slice(0, cut);
+  e.payload = command.Slice(cut, command.size());
+  return r;
+}
+
+// A leader's split entry and a restarted follower's contiguous copy of it
+// (reloaded from the WAL) carry the same command: no violation.
+TEST(RaftInvariants, SplitAndContiguousEntriesWithEqualBytesMatch) {
+  std::vector<raft::ReplicaSnapshot> group;
+  group.push_back(
+      Split(MakeReplica(1, 2, {{1, "a"}, {2, "header|payload"}}, 2, /*leader=*/true), 2, 7));
+  group.push_back(MakeReplica(2, 2, {{1, "a"}, {2, "header|payload"}}, 2));
+  group.push_back(Split(MakeReplica(3, 2, {{1, "a"}, {2, "header|payload"}}, 2), 2, 3));
+  InvariantReport report;
+  raft::CheckRaftGroup(group, &report);
+  EXPECT_TRUE(report.ok()) << report.ToString();
+}
+
+TEST(RaftInvariants, EqualTermEntriesWithDifferentPayloadsFire) {
+  std::vector<raft::ReplicaSnapshot> group;
+  group.push_back(Split(MakeReplica(1, 2, {{1, "a"}, {2, "header|payload-x"}}, 1), 2, 7));
+  group.push_back(Split(MakeReplica(2, 2, {{1, "a"}, {2, "header|payload-y"}}, 1), 2, 7));
+  group.push_back(MakeReplica(3, 2, {{1, "a"}, {2, "header|payload-x"}}, 1));
+  InvariantReport report;
+  raft::CheckRaftGroup(group, &report);
+  ASSERT_FALSE(report.ok());
+  const std::string text = report.ToString();
+  EXPECT_NE(text.find("node 1 and node 2 disagree on data at index 2"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("node 2 and node 3 disagree on data at index 2"), std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("node 1 and node 3"), std::string::npos) << text;
+}
+
 TEST(RaftInvariants, CommitBeyondLastIndexFires) {
   auto r = MakeReplica(1, 1, {{1, "a"}}, 1);
   r.commit = 9;  // only one entry exists
@@ -237,18 +276,18 @@ class MetaPartitionInvariants : public ::testing::Test {
 };
 
 TEST_F(MetaPartitionInvariants, HealthyPartitionPasses) {
-  part_->Apply(1, Buffer::FromString(
-                      meta::MetaPartition::EncodeCreateInode(meta::FileType::kFile, "", 0)));
+  part_->Apply({0, 1, Buffer::FromString(
+                          meta::MetaPartition::EncodeCreateInode(meta::FileType::kFile, "", 0))});
   meta::Dentry d{kRootInode, "f", 2, meta::FileType::kFile};
-  part_->Apply(2, Buffer::FromString(meta::MetaPartition::EncodeCreateDentry(d)));
+  part_->Apply({0, 2, Buffer::FromString(meta::MetaPartition::EncodeCreateDentry(d))});
   InvariantReport report;
   part_->CheckInvariants(&report);
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
 TEST_F(MetaPartitionInvariants, NlinkBelowFloorFires) {
-  part_->Apply(1, Buffer::FromString(
-                      meta::MetaPartition::EncodeCreateInode(meta::FileType::kFile, "", 0)));
+  part_->Apply({0, 1, Buffer::FromString(
+                          meta::MetaPartition::EncodeCreateInode(meta::FileType::kFile, "", 0))});
   meta::Inode* ino = part_->MutableInodeForTest(2);
   ASSERT_NE(ino, nullptr);
   ino->nlink = 0;  // live file with zero links and no delete mark
@@ -260,8 +299,8 @@ TEST_F(MetaPartitionInvariants, NlinkBelowFloorFires) {
 }
 
 TEST_F(MetaPartitionInvariants, DeletedInodeMissingFromFreeListFires) {
-  part_->Apply(1, Buffer::FromString(
-                      meta::MetaPartition::EncodeCreateInode(meta::FileType::kFile, "", 0)));
+  part_->Apply({0, 1, Buffer::FromString(
+                          meta::MetaPartition::EncodeCreateInode(meta::FileType::kFile, "", 0))});
   meta::Inode* ino = part_->MutableInodeForTest(2);
   ASSERT_NE(ino, nullptr);
   ino->flag |= meta::kInodeDeleteMark;  // marked deleted behind the op path
@@ -333,7 +372,7 @@ TEST_F(ClusterInvariants, DanglingDentryFires) {
   ASSERT_NE(leader, nullptr);
   meta::InodeId ghost = leader->config().start + 999;
   meta::Dentry d{kRootInode, "ghost", ghost, meta::FileType::kFile};
-  leader->Apply(1u << 20, Buffer::FromString(meta::MetaPartition::EncodeCreateDentry(d)));
+  leader->Apply({0, 1u << 20, Buffer::FromString(meta::MetaPartition::EncodeCreateDentry(d))});
   InvariantReport report = cluster_->CheckInvariants();
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.ToString().find("dangles"), std::string::npos) << report.ToString();

@@ -22,8 +22,8 @@ using sim::Task;
 /// Test state machine: an append-only list of applied commands.
 class ListSm : public StateMachine {
  public:
-  void Apply(Index index, const Buffer& data) override {
-    applied.emplace_back(index, data.ToString());
+  void Apply(const LogEntry& e) override {
+    applied.emplace_back(e.index, e.data.ToString() + e.payload.ToString());
   }
   std::string TakeSnapshot() override {
     Encoder enc;
@@ -379,13 +379,16 @@ TEST_F(RaftCluster, ConcurrentProposalsAllCommit) {
 
 // --- LogStore WAL --------------------------------------------------------
 
+/// An entry's command bytes, however it splits them into data and payload.
+std::string Command(const LogEntry& e) { return e.data.ToString() + e.payload.ToString(); }
+
 /// The plain WAL record encoding: what the log blob must contain byte for
 /// byte, however LogStore assembles it.
 std::string Record(const LogEntry& e) {
   Encoder enc;
   enc.PutU64(e.term);
   enc.PutU64(e.index);
-  enc.PutString(e.data.view());
+  enc.PutString(Command(e));
   return enc.Take();
 }
 
@@ -411,7 +414,9 @@ class LogStoreWal : public ::testing::Test {
     for (const LogEntry& w : want) {
       ASSERT_TRUE(log.Has(w.index));
       EXPECT_EQ(log.At(w.index).term, w.term);
-      EXPECT_EQ(log.At(w.index).data, w.data.view()) << "index " << w.index;
+      // Reloaded entries are contiguous: the payload is inline in data.
+      EXPECT_EQ(log.At(w.index).data, Command(w)) << "index " << w.index;
+      EXPECT_TRUE(log.At(w.index).payload.empty()) << "index " << w.index;
     }
   }
 
@@ -423,7 +428,10 @@ class LogStoreWal : public ::testing::Test {
 
 TEST_F(LogStoreWal, MixedSizeBatchesReloadIdenticallyAfterCrash) {
   Rng rng(2019);
-  // Around the copy/by-reference cut, plus empty and large payloads.
+  // Around the copy/by-reference cut, plus empty and large payloads. Half
+  // the entries are split the way an overwrite is proposed (a header in
+  // data, the bytes by reference in payload), at a random cut: the WAL must
+  // hold the same record as for the contiguous command.
   const size_t sizes[] = {0, 1, 17, 63, 64, 65, 4 * kKiB, 128 * kKiB};
   std::vector<LogEntry> all;
   std::string wal;
@@ -436,7 +444,11 @@ TEST_F(LogStoreWal, MixedSizeBatchesReloadIdenticallyAfterCrash) {
         e.index = all.size() + 1;
         std::string payload(sizes[rng.Uniform(std::size(sizes))], '\0');
         for (char& c : payload) c = static_cast<char>(rng.Next());
-        e.data = Buffer::FromString(std::move(payload));
+        const Buffer command = Buffer::FromString(std::move(payload));
+        const size_t cut =
+            rng.Uniform(2) ? rng.Uniform(command.size() + 1) : command.size();
+        e.data = command.Slice(0, cut);
+        e.payload = command.Slice(cut, command.size());
         wal += Record(e);
         all.push_back(e);
       }
